@@ -187,9 +187,12 @@ module Make (B : Substrate.S) = struct
         if Trace.is_boundary event && B.apply_event tb event then incr applied
         else incr skipped)
       (events r);
+    (* the final snapshot is taken with the ring still open, as
+       Campaign.run takes its after-snapshot: its monitor-scan
+       provenance edges are part of the recorded vts stream *)
+    let rp_final = B.snapshot tb in
     Trace.disable tr;
     let replayed = Trace.records_of_string (Trace.to_bytes tr) in
-    let rp_final = B.snapshot tb in
     let rp_prov = prov_export tb in
     let rp_cov =
       match cov with

@@ -7,12 +7,29 @@ type owner = Free | Xen | Dom of int
 let bits_per_word = 62
 
 type baseline = {
-  (* pre-images of frames dirtied since capture, copied lazily on the
-     first write to each frame; [None] means the frame was a scrubbed
-     (all-zero) frame at capture time, so no bytes need storing *)
-  b_pre : (int, bytes option * owner) Hashtbl.t;
+  (* pre-images of frames dirtied since capture, indexed by mfn and
+     valid exactly for the frames on [dirty_frames]: copied lazily on
+     the first write to each frame; [no_image] means the frame was a
+     scrubbed (all-zero) frame at capture time, so no bytes need
+     storing *)
+  b_img : bytes array;
+  b_owner : owner array;
   b_free_count : int;
+  mutable b_spare : bytes list;
+      (* page-sized pre-image buffers handed back by [reset_to_baseline];
+         the next trial's [mark_dirty] blits into them instead of
+         allocating 4 KiB on the major heap per dirtied frame *)
 }
+
+let no_image = Bytes.empty
+
+let new_baseline ~frames ~free_count ~spare =
+  {
+    b_img = Array.make frames no_image;
+    b_owner = Array.make frames Free;
+    b_free_count = free_count;
+    b_spare = spare;
+  }
 
 type t = {
   frames : Frame.t array;
@@ -38,13 +55,20 @@ type t = {
       (* an immutable fork template: any mutation raises. Frozen
          memories are safe to share between domains (all reads). *)
   cow : Bytes.t;
-  (* '\001' = the frame's [Frame.t] is still physically shared with the
-     frozen template this memory was forked from; the first content
-     write replaces it with a private copy (see [unshare]) *)
+  (* '\001' = the frame's [Frame.t] is still physically shared — with
+     the frozen template this memory was forked from, or with
+     [zero_page] in a fresh memory; the first content write replaces it
+     with a private copy (see [unshare]) *)
   mutable cow_count : int;
 }
 
 exception Bad_maddr of Addr.maddr
+
+(* The all-zero page every frame of a fresh memory aliases: a fresh
+   memory is a fork of "all zeroes", so it costs the metadata arrays
+   plus the frames actually written. Never written — every content
+   write path unshares first — so domains may share it freely. *)
+let zero_page = Frame.create ()
 
 let create ~frames =
   if frames <= 0 then invalid_arg "Phys_mem.create: frames must be positive";
@@ -56,7 +80,7 @@ let create ~frames =
         if n = bits_per_word then max_int else (1 lsl n) - 1)
   in
   {
-    frames = Array.init frames (fun _ -> Frame.create ());
+    frames = Array.make frames zero_page;
     owners = Array.make frames Free;
     free_bits;
     free_count = frames;
@@ -69,8 +93,8 @@ let create ~frames =
     baseline_epoch = 0;
     prov = None;
     frozen = false;
-    cow = Bytes.make frames '\000';
-    cow_count = 0;
+    cow = Bytes.make frames '\001';
+    cow_count = frames;
   }
 
 let total_frames t = Array.length t.frames
@@ -107,18 +131,26 @@ let mark_dirty t mfn =
     t.dirty_frames <- mfn :: t.dirty_frames;
     match t.baseline with
     | Some b ->
-        let img =
-          if Bytes.unsafe_get t.scrubbed mfn = '\001' then None
-          else Some (Frame.to_bytes t.frames.(mfn))
-        in
-        Hashtbl.replace b.b_pre mfn (img, t.owners.(mfn))
+        if Bytes.unsafe_get t.scrubbed mfn = '\000' then begin
+          let buf =
+            match b.b_spare with
+            | buf :: rest ->
+                b.b_spare <- rest;
+                buf
+            | [] -> Bytes.create Addr.page_size
+          in
+          Frame.blit_to_bytes t.frames.(mfn) 0 buf 0 Addr.page_size;
+          b.b_img.(mfn) <- buf
+        end;
+        b.b_owner.(mfn) <- t.owners.(mfn)
     | None -> ()
   end
 
-(* Detach a COW-shared frame from its template before the first content
-   write: the fork gets a private copy (or a fresh zero frame when the
-   shared one is known-zero) and the template's bytes stay untouched —
-   which is what lets many forks share one template concurrently. *)
+(* Detach a COW-shared frame from its template (or from [zero_page])
+   before the first content write: the memory gets a private copy (or a
+   fresh zero frame when the shared one is known-zero) and the shared
+   bytes stay untouched — which is what lets many forks share one
+   template concurrently. *)
 let unshare t mfn =
   if Bytes.unsafe_get t.cow mfn = '\001' then begin
     Bytes.unsafe_set t.cow mfn '\000';
@@ -140,7 +172,9 @@ let capture_baseline t =
   if t.frozen then invalid_arg "Phys_mem.capture_baseline: template is frozen";
   List.iter (fun mfn -> Bytes.set t.dirty mfn '\000') t.dirty_frames;
   t.dirty_frames <- [];
-  t.baseline <- Some { b_pre = Hashtbl.create 64; b_free_count = t.free_count };
+  let spare = match t.baseline with Some b -> b.b_spare | None -> [] in
+  t.baseline <-
+    Some (new_baseline ~frames:(total_frames t) ~free_count:t.free_count ~spare);
   t.baseline_epoch <- t.baseline_epoch + 1;
   match t.prov with None -> () | Some p -> Provenance.capture_baseline p
 
@@ -167,37 +201,38 @@ let reset_to_baseline t =
       let restored = ref 0 in
       List.iter
         (fun mfn ->
-          (match Hashtbl.find_opt b.b_pre mfn with
-          | Some (img, o) ->
-              (match img with
-              | Some img ->
-                  (* a frame still COW-shared with the template was never
-                     content-written (writes unshare first), so its bytes
-                     already equal the pre-image: skip the 4 KiB restore —
-                     and never write into the shared template frame *)
-                  if Bytes.unsafe_get t.cow mfn = '\000' then begin
-                    Frame.restore_image t.frames.(mfn) img;
-                    Bytes.unsafe_set t.scrubbed mfn '\000'
-                  end
-              | None ->
-                  (* the frame held zeroes at capture; rescrub only if it
-                     was written since *)
-                  if Bytes.unsafe_get t.scrubbed mfn = '\000' then begin
-                    Frame.fill t.frames.(mfn) '\000';
-                    Bytes.unsafe_set t.scrubbed mfn '\001'
-                  end);
-              (match (t.owners.(mfn), o) with
-              | Free, Free -> ()
-              | Free, _ -> clear_free_bit t mfn
-              | _, Free -> set_free_bit t mfn
-              | _, _ -> ());
-              t.owners.(mfn) <- o;
-              incr restored
-          | None -> ());
-          Bytes.set t.dirty mfn '\000')
+          let img = b.b_img.(mfn) in
+          if img == no_image then begin
+            (* the frame held zeroes at capture; rescrub only if it was
+               written since *)
+            if Bytes.unsafe_get t.scrubbed mfn = '\000' then begin
+              Frame.fill t.frames.(mfn) '\000';
+              Bytes.unsafe_set t.scrubbed mfn '\001'
+            end
+          end
+          else begin
+            (* a frame still COW-shared was never content-written (writes
+               unshare first), so its bytes already equal the pre-image:
+               skip the 4 KiB restore — and never write into the shared
+               frame *)
+            if Bytes.unsafe_get t.cow mfn = '\000' then begin
+              Frame.restore_image t.frames.(mfn) img;
+              Bytes.unsafe_set t.scrubbed mfn '\000'
+            end;
+            b.b_img.(mfn) <- no_image;
+            b.b_spare <- img :: b.b_spare
+          end;
+          let o = b.b_owner.(mfn) in
+          (match (t.owners.(mfn), o) with
+          | Free, Free -> ()
+          | Free, _ -> clear_free_bit t mfn
+          | _, Free -> set_free_bit t mfn
+          | _, _ -> ());
+          t.owners.(mfn) <- o;
+          Bytes.unsafe_set t.dirty mfn '\000';
+          incr restored)
         t.dirty_frames;
       t.dirty_frames <- [];
-      Hashtbl.reset b.b_pre;
       t.free_count <- b.b_free_count;
       (* frames may have become free below the hint again *)
       t.next_hint <- 0;
@@ -239,7 +274,8 @@ let fork template =
     gen = template.gen;
     (* the fork is born exactly at the template's baseline, so its own
        baseline starts armed and empty: resets work from trial one *)
-    baseline = Some { b_pre = Hashtbl.create 64; b_free_count = template.free_count };
+    baseline =
+      Some (new_baseline ~frames:n ~free_count:template.free_count ~spare:[]);
     baseline_epoch = template.baseline_epoch;
     prov = None;
     frozen = false;
@@ -280,6 +316,22 @@ let set_owner t mfn o =
   | _, _ -> ());
   t.owners.(mfn) <- o
 
+(* Zero a frame unless it is already known-zero (a scrubbed frame is
+   the zeroed page [alloc] promises). A still-shared frame gets a fresh
+   zero frame swapped in rather than scrubbing — and thus corrupting —
+   the shared bytes. *)
+let scrub t mfn =
+  if Bytes.unsafe_get t.scrubbed mfn = '\000' then begin
+    if Bytes.unsafe_get t.cow mfn = '\001' then begin
+      Bytes.unsafe_set t.cow mfn '\000';
+      t.cow_count <- t.cow_count - 1;
+      t.frames.(mfn) <- Frame.create ()
+    end
+    else Frame.fill t.frames.(mfn) '\000';
+    Bytes.unsafe_set t.scrubbed mfn '\001';
+    prov_clear_frame t mfn
+  end
+
 let lowest_bit word =
   let rec go b = if word land (1 lsl b) <> 0 then b else go (b + 1) in
   go 0
@@ -297,19 +349,7 @@ let alloc t o =
     clear_free_bit t mfn;
     t.owners.(mfn) <- o;
     t.free_count <- t.free_count - 1;
-    (* a scrubbed frame is already the zeroed page [alloc] promises *)
-    if Bytes.unsafe_get t.scrubbed mfn = '\000' then begin
-      (if Bytes.unsafe_get t.cow mfn = '\001' then begin
-         (* shared with the template: swap in a fresh zero frame rather
-            than scrubbing (and thus corrupting) the shared bytes *)
-         Bytes.unsafe_set t.cow mfn '\000';
-         t.cow_count <- t.cow_count - 1;
-         t.frames.(mfn) <- Frame.create ()
-       end
-       else Frame.fill t.frames.(mfn) '\000');
-      Bytes.unsafe_set t.scrubbed mfn '\001';
-      prov_clear_frame t mfn
-    end;
+    scrub t mfn;
     mfn
   end
 
@@ -323,17 +363,7 @@ let free t mfn =
     t.free_count <- t.free_count + 1
   end;
   t.owners.(mfn) <- Free;
-  (* scrub on free, unless the frame is already known-zero *)
-  if Bytes.unsafe_get t.scrubbed mfn = '\000' then begin
-    (if Bytes.unsafe_get t.cow mfn = '\001' then begin
-       Bytes.unsafe_set t.cow mfn '\000';
-       t.cow_count <- t.cow_count - 1;
-       t.frames.(mfn) <- Frame.create ()
-     end
-     else Frame.fill t.frames.(mfn) '\000');
-    Bytes.unsafe_set t.scrubbed mfn '\001';
-    prov_clear_frame t mfn
-  end;
+  scrub t mfn;
   (* a reused frame must never hit a stale cached translation *)
   t.gen <- t.gen + 1
 

@@ -23,7 +23,12 @@ exception Bad_maddr of Addr.maddr
 (** Raised on access outside the installed physical memory. *)
 
 val create : frames:int -> t
-(** Fresh memory of [frames] zeroed frames, all [Free]. *)
+(** Fresh memory of [frames] zeroed frames, all [Free]. A fresh memory
+    is a fork of "all zeroes": every frame aliases one shared,
+    read-only zero page ({!shared_frames} [= frames]) and gets a private
+    page on its first content write, through the same copy-on-write
+    path as {!fork}. Creation therefore costs the metadata arrays, and
+    a memory only ever holds the frames it has written. *)
 
 val total_frames : t -> int
 
@@ -87,7 +92,9 @@ val capture_baseline : t -> unit
 val reset_to_baseline : t -> int
 (** Restore every frame (contents and ownership) touched since
     {!capture_baseline}, in O(dirty). Returns the number of frames
-    restored. Raises [Invalid_argument] if no baseline was captured. *)
+    restored. Raises [Invalid_argument] if no baseline was captured.
+    The page-sized pre-image buffers are kept for reuse by the next
+    trial's first writes, so steady-state trials allocate none. *)
 
 (** {1 Copy-on-write forking}
 
@@ -114,8 +121,11 @@ val fork : t -> t
     testbed. Raises [Invalid_argument] unless [template] is frozen. *)
 
 val shared_frames : t -> int
-(** Frames still physically shared with the fork's template (equals
-    [total_frames] right after {!fork}, 0 for non-forked memories). *)
+(** Frames still physically shared — with the fork's template, or with
+    the zero page for a memory made by {!create}. Equals [total_frames]
+    right after {!create} or {!fork}; the first content write to a
+    frame unshares exactly that frame. [alloc] and [free] of a
+    known-zero frame keep it shared. *)
 
 (** {1 Byte access by machine address}
 

@@ -475,6 +475,9 @@ type record = { seq : int; vts : int64; event : event }
 type t = {
   mutable enabled : bool;
   mutable buf : Bytes.t;
+      (* physical ring: starts at [initial_bytes] and doubles on demand
+         up to [bound], so a short recording never pays for the bound *)
+  mutable bound : int;  (* eviction bound: [enable]'s [capacity_bytes] *)
   mutable start : int;  (* offset of the oldest live byte *)
   mutable used : int;
   mutable seq_next : int;
@@ -489,11 +492,13 @@ type t = {
 }
 
 let default_capacity = 4 * 1024 * 1024
+let initial_bytes = 4 * 1024
 
 let create () =
   {
     enabled = false;
     buf = Bytes.create 0;
+    bound = 0;
     start = 0;
     used = 0;
     seq_next = 0;
@@ -524,7 +529,8 @@ let clear t =
 
 let enable ?(capacity_bytes = default_capacity) t =
   if capacity_bytes < 64 then invalid_arg "Trace.enable: capacity too small";
-  if Bytes.length t.buf <> capacity_bytes then t.buf <- Bytes.create capacity_bytes;
+  t.buf <- Bytes.create (min capacity_bytes initial_bytes);
+  t.bound <- capacity_bytes;
   clear t;
   t.enabled <- true
 
@@ -541,11 +547,40 @@ let ring_read_u32 t off =
   let b i = Bytes.get_uint8 t.buf ((t.start + off + i) mod cap) in
   b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
 
+let ring_write_u32 t off v =
+  let cap = Bytes.length t.buf in
+  for i = 0 to 3 do
+    Bytes.set_uint8 t.buf ((t.start + off + i) mod cap) ((v lsr (8 * i)) land 0xff)
+  done
+
 let evict_oldest t =
   let frame = 4 + ring_read_u32 t 0 in
   t.start <- (t.start + frame) mod Bytes.length t.buf;
   t.used <- t.used - frame;
   t.dropped <- t.dropped + 1
+
+(* Copy the live bytes, oldest first, to the start of [dst]. *)
+let unwrap_into t dst =
+  let first = min t.used (Bytes.length t.buf - t.start) in
+  Bytes.blit t.buf t.start dst 0 first;
+  if t.used > first then Bytes.blit t.buf 0 dst first (t.used - first)
+
+(* Double the physical ring (capped at [bound]) until [need] bytes fit,
+   unwrapping the live records to offset 0 of the new buffer. Eviction
+   only starts once the ring has reached [bound], so the live records
+   are exactly those an eagerly allocated ring of [bound] bytes keeps. *)
+let grow t need =
+  let cap = Bytes.length t.buf in
+  let size = ref cap in
+  while !size < need && !size < t.bound do
+    size := min t.bound (2 * !size)
+  done;
+  if !size > cap then begin
+    let buf = Bytes.create !size in
+    unwrap_into t buf;
+    t.buf <- buf;
+    t.start <- 0
+  end
 
 let ring_append t (src : Buffer.t) =
   let cap = Bytes.length t.buf in
@@ -576,30 +611,24 @@ let emit t event =
     put_u8 t.scratch (code_of_event event);
     encode_payload t.scratch event;
     let frame = Buffer.length t.scratch in
-    let body = frame - 4 in
-    (* patch the length prefix in place *)
-    let img = Buffer.to_bytes t.scratch in
-    Bytes.set_int32_le img 0 (Int32.of_int body);
-    let cap = Bytes.length t.buf in
-    if frame > cap then t.dropped <- t.dropped + 1
+    if frame > t.bound then t.dropped <- t.dropped + 1
     else begin
-      while t.used + frame > cap do
+      if t.used + frame > Bytes.length t.buf then grow t (t.used + frame);
+      while t.used + frame > Bytes.length t.buf do
         evict_oldest t
       done;
-      Buffer.clear t.scratch;
-      Buffer.add_bytes t.scratch img;
-      ring_append t t.scratch
+      let at = t.used in
+      ring_append t t.scratch;
+      (* patch the length prefix in place *)
+      ring_write_u32 t at (frame - 4)
     end
   end
 
 let to_bytes t =
-  let cap = Bytes.length t.buf in
   if t.used = 0 then ""
   else begin
     let out = Bytes.create t.used in
-    let first = min t.used (cap - t.start) in
-    Bytes.blit t.buf t.start out 0 first;
-    if t.used > first then Bytes.blit t.buf 0 out first (t.used - first);
+    unwrap_into t out;
     Bytes.unsafe_to_string out
   end
 

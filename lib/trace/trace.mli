@@ -11,8 +11,9 @@
 
     - The {b ring} is off by default. When enabled ({!enable}), every
       instrumentation point also serializes a typed record into a
-      circular byte buffer; when the ring fills, the oldest whole
-      records are evicted (xentrace keeps the newest). A disabled ring
+      circular byte buffer that grows on demand up to its capacity;
+      when the ring is full, the oldest whole records are evicted
+      (xentrace keeps the newest). A disabled ring
       costs one boolean load per instrumentation point.
 
     Records carry a monotonically increasing sequence number plus a
@@ -133,8 +134,13 @@ val create : unit -> t
 (** Counters armed, ring disabled. *)
 
 val enable : ?capacity_bytes:int -> t -> unit
-(** Clear the ring, size it to [capacity_bytes] (default 4 MiB) and
-    start recording. Sequence numbers restart at 0. *)
+(** Clear the ring and start recording, with [capacity_bytes] (default
+    4 MiB, at least 64) as the eviction bound. Sequence numbers restart
+    at 0. Memory grows on demand: the buffer starts small (4 KiB) and
+    doubles as records arrive until it reaches the bound; only then
+    are the oldest whole records evicted. The live records, {!dropped}
+    and {!seq} are exactly those of a ring allocated at the full
+    capacity up front. *)
 
 val disable : t -> unit
 (** Stop recording. The recorded contents stay readable. *)

@@ -280,6 +280,121 @@ let test_frozen_template_immutable () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* --- Shared zero page -------------------------------------------------------- *)
+
+(* A fresh memory is a fork of "all zeroes": every frame aliases one
+   read-only zero page until its first content write. [frame_ro] on a
+   still-shared frame of any fresh memory hands back that very page. *)
+let zero_page () = Phys_mem.frame_ro (Phys_mem.create ~frames:1) 0
+
+let check_zero_page_intact what =
+  let z = zero_page () in
+  check_bool (what ^ ": one page shared by every fresh memory") true (z == zero_page ());
+  check_bool (what ^ ": zero page hashes as an all-zero page") true
+    (Frame.fnv64 z = Frame.fnv64 (Frame.create ()))
+
+let test_fresh_memory_shares_every_frame () =
+  let mem = Phys_mem.create ~frames:64 in
+  check_int "every frame shared at birth" 64 (Phys_mem.shared_frames mem);
+  check_bool "frames alias the zero page" true (Phys_mem.frame_ro mem 17 == zero_page ());
+  Phys_mem.write_u64 mem 0x3008L 0xFEEDL;
+  check_int "first content write unshares exactly one frame" 63 (Phys_mem.shared_frames mem);
+  Phys_mem.write_u64 mem 0x3010L 0xBEEFL;
+  check_int "a second write to that frame unshares nothing" 63 (Phys_mem.shared_frames mem);
+  check_bool "the write landed" true (Phys_mem.read_u64 mem 0x3008L = 0xFEEDL);
+  check_bool "its neighbour still reads zero" true (Phys_mem.read_u64 mem 0x4008L = 0L);
+  check_zero_page_intact "after a content write"
+
+let test_alloc_free_never_write_shared () =
+  (* fresh memory: allocating and freeing never-written frames keeps
+     them on the zero page *)
+  let mem = Phys_mem.create ~frames:16 in
+  let ms = Phys_mem.alloc_many mem Phys_mem.Xen 5 in
+  check_int "alloc keeps known-zero frames shared" 16 (Phys_mem.shared_frames mem);
+  List.iter (Phys_mem.free mem) ms;
+  check_int "free keeps known-zero frames shared" 16 (Phys_mem.shared_frames mem);
+  check_zero_page_intact "after alloc/free";
+  (* fork: freeing and re-allocating a frame whose shared template
+     page holds data swaps in a private zero frame *)
+  let t = Phys_mem.create ~frames:4 in
+  let m = Phys_mem.alloc t Phys_mem.Xen in
+  Phys_mem.write_u64 t (Addr.maddr_of_mfn m) 0xC0FFEEL;
+  Phys_mem.capture_baseline t;
+  Phys_mem.freeze t;
+  let f = Phys_mem.fork t in
+  Phys_mem.free f m;
+  check_int "free detaches the data frame" 3 (Phys_mem.shared_frames f);
+  check_bool "the fork's frame is scrubbed" true (Phys_mem.read_u64 f (Addr.maddr_of_mfn m) = 0L);
+  check_bool "the template keeps its data" true
+    (Phys_mem.read_u64 t (Addr.maddr_of_mfn m) = 0xC0FFEEL);
+  check_int "re-alloc hands back the scrubbed frame" m (Phys_mem.alloc f Phys_mem.Xen);
+  ignore (Phys_mem.reset_to_baseline f : int);
+  check_bool "reset restores the template data" true
+    (Phys_mem.read_u64 f (Addr.maddr_of_mfn m) = 0xC0FFEEL);
+  check_bool "template still intact" true
+    (Phys_mem.read_u64 t (Addr.maddr_of_mfn m) = 0xC0FFEEL);
+  check_zero_page_intact "after fork alloc/free"
+
+(* Resetting a fresh memory to its birth baseline is observably a new
+   [create]: same owners, free count and bytes in every frame — over
+   several trials, so recycled pre-image buffers are exercised too. *)
+let test_reset_equals_create_memory () =
+  let frames = 32 in
+  let observe mem =
+    ( Phys_mem.free_frames mem,
+      List.init frames (fun i -> (Phys_mem.owner mem i, Phys_mem.frame_hash mem i)) )
+  in
+  let pristine = observe (Phys_mem.create ~frames) in
+  let mem = Phys_mem.create ~frames in
+  Phys_mem.capture_baseline mem;
+  for trial = 1 to 3 do
+    let a = Phys_mem.alloc mem Phys_mem.Xen in
+    let b = Phys_mem.alloc mem (Phys_mem.Dom trial) in
+    Phys_mem.write_u64 mem (Addr.maddr_of_mfn a) (Int64.of_int trial);
+    Phys_mem.write_string mem (Int64.add (Addr.maddr_of_mfn b) 100L) "payload";
+    Phys_mem.write_u8 mem (Addr.maddr_of_mfn (20 + trial)) 0xff;
+    Phys_mem.free mem a;
+    ignore (Phys_mem.reset_to_baseline mem : int);
+    check_bool (Printf.sprintf "trial %d: reset = create" trial) true (observe mem = pristine)
+  done;
+  check_zero_page_intact "after resets"
+
+(* Every use case, both modes, on fresh and pooled testbeds of both
+   backends, with provenance and coverage attached (and replayed on
+   fresh boots): none of it may write into the shared zero page. *)
+let test_zero_page_survives_use_cases () =
+  let module BK = Ii_backends.Backend_kvm in
+  let module KB = Ii_backends.Backends in
+  let modes = [ Campaign.Real_exploit; Campaign.Injection ] in
+  let attach_coverage trace =
+    Ii_trace.Trace.set_coverage trace (Some (Ii_trace.Coverage.create ()))
+  in
+  let xen_pool = Testbed.create_pooled Version.V4_6 in
+  Substrate_xen.enable_provenance xen_pool;
+  attach_coverage xen_pool.Testbed.hv.Hv.trace;
+  List.iter
+    (fun uc ->
+      List.iter
+        (fun mode ->
+          let r = Trace_driver.record ~provenance:true ~coverage:true uc mode Version.V4_6 in
+          ignore (Trace_driver.replay r : Trace_driver.replay_outcome);
+          ignore (Campaign.run ~tb:xen_pool uc mode Version.V4_6 : Campaign.result_row))
+        modes)
+    All.use_cases;
+  let kvm_pool = BK.create_pooled BK.Stock in
+  BK.enable_provenance kvm_pool;
+  attach_coverage (BK.trace kvm_pool);
+  List.iter
+    (fun uc ->
+      List.iter
+        (fun mode ->
+          let r = KB.Kvm_trace.record ~provenance:true ~coverage:true uc mode BK.Stock in
+          ignore (KB.Kvm_trace.replay r : KB.Kvm_trace.replay_outcome);
+          ignore (KB.Kvm_campaign.run ~tb:kvm_pool uc mode BK.Stock : KB.Kvm_campaign.result_row))
+        modes)
+    Ii_backends.Kvm_use_cases.use_cases;
+  check_zero_page_intact "after every use case"
+
 (* --- Batching scheduler ---------------------------------------------------- *)
 
 (* The flattened versions x trials queue must regroup into summaries
@@ -451,6 +566,16 @@ let () =
         [
           Alcotest.test_case "template isolation" `Quick test_fork_template_isolation;
           Alcotest.test_case "frozen template immutable" `Quick test_frozen_template_immutable;
+        ] );
+      ( "zero_page",
+        [
+          Alcotest.test_case "fresh memory shares every frame" `Quick
+            test_fresh_memory_shares_every_frame;
+          Alcotest.test_case "alloc/free never write shared frames" `Quick
+            test_alloc_free_never_write_shared;
+          Alcotest.test_case "reset = create" `Quick test_reset_equals_create_memory;
+          Alcotest.test_case "intact after every use case" `Quick
+            test_zero_page_survives_use_cases;
         ] );
       ( "scheduler",
         [

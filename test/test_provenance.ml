@@ -145,6 +145,43 @@ let test_kvm_replay_graph_identical () =
         o.B.Kvm_trace.rp_prov_equal)
     Ii_backends.Kvm_use_cases.use_cases
 
+(* The replay's final snapshot runs with the ring still open, as the
+   recording's does, so the monitor-scan provenance edges that close a
+   recording come back at the same virtual timestamps. *)
+let test_replay_vts_with_provenance () =
+  List.iter
+    (fun (name, version, mode) ->
+      let r = Trace_driver.record ~provenance:true (uc name) mode version in
+      let o = Trace_driver.replay r in
+      check_bool
+        (Printf.sprintf "%s/%s/%s: vts stream reproduced" name (Version.to_string version)
+           (Campaign.mode_to_string mode))
+        true o.Trace_driver.rp_vts_equal)
+    [
+      ("XSA-148-priv", Version.V4_6, Campaign.Real_exploit);
+      ("XSA-148-priv", Version.V4_6, Campaign.Injection);
+      ("XSA-148-priv", Version.V4_8, Campaign.Injection);
+      ("XSA-148-priv", Version.V4_13, Campaign.Injection);
+      ("XSA-182-test", Version.V4_6, Campaign.Real_exploit);
+      ("XSA-182-test", Version.V4_6, Campaign.Injection);
+      ("XSA-182-test", Version.V4_8, Campaign.Injection);
+    ]
+
+let test_kvm_replay_vts_with_provenance () =
+  let kuc =
+    List.find
+      (fun k -> k.B.Kvm_campaign.uc_name = "KVM-VMCS")
+      Ii_backends.Kvm_use_cases.use_cases
+  in
+  List.iter
+    (fun mode ->
+      let r = B.Kvm_trace.record ~provenance:true kuc mode K.Stock in
+      let o = B.Kvm_trace.replay r in
+      check_bool
+        ("KVM-VMCS/" ^ Campaign.mode_to_string mode ^ ": vts stream reproduced")
+        true o.B.Kvm_trace.rp_vts_equal)
+    [ Campaign.Real_exploit; Campaign.Injection ]
+
 (* --- purity: the shadow must not perturb trials -------------------------- *)
 
 let strip_row (r : Campaign.result_row) =
@@ -194,6 +231,10 @@ let () =
             test_replay_graph_identical;
           Alcotest.test_case "kvm graphs replay byte-for-byte" `Quick
             test_kvm_replay_graph_identical;
+          Alcotest.test_case "xen vts replay with provenance" `Quick
+            test_replay_vts_with_provenance;
+          Alcotest.test_case "kvm vts replay with provenance" `Quick
+            test_kvm_replay_vts_with_provenance;
         ] );
       ( "purity",
         [

@@ -63,6 +63,71 @@ let test_wraparound_keeps_newest () =
       check_bool "suffix payload" true (event = Trace.Tlb_invlpg { va = Int64.of_int seq }))
     recs
 
+(* The ring allocates on demand, but its contents must be exactly those
+   of a ring allocated eagerly at the full capacity: the newest whole
+   frames that fit, oldest first, with every older frame (and any frame
+   larger than the capacity) counted as dropped. The reference encodes
+   each frame alone and keeps that suffix itself. *)
+let frame_of seq event =
+  let tr = Trace.create () in
+  Trace.enable tr;
+  Trace.emit tr event;
+  let b = Bytes.of_string (Trace.to_bytes tr) in
+  Bytes.set_int32_le b 4 (Int32.of_int seq);
+  Bytes.to_string b
+
+let reference_ring ~capacity events =
+  let kept = Queue.create () and used = ref 0 and dropped = ref 0 in
+  List.iteri
+    (fun seq ev ->
+      let f = frame_of seq ev in
+      let n = String.length f in
+      if n > capacity then incr dropped
+      else begin
+        Queue.push f kept;
+        used := !used + n;
+        while !used > capacity do
+          used := !used - String.length (Queue.pop kept);
+          incr dropped
+        done
+      end)
+    events;
+  (String.concat "" (List.of_seq (Queue.to_seq kept)), !dropped, List.length events)
+
+let gen_event =
+  QCheck.Gen.(
+    map2
+      (fun kind n ->
+        match kind with
+        | 0 -> Trace.Tlb_invlpg { va = Int64.of_int n }
+        | 1 -> Trace.Panic { reason = String.make n 'p' }
+        | _ ->
+            let data = String.make n 'd' in
+            Trace.Guest_mem { domid = 1; op = Trace.Op_write_bytes; va = 0x1000L; len = n; data })
+      (int_bound 2) (int_bound 600))
+
+let prop_on_demand_ring_matches_eager =
+  QCheck.Test.make ~name:"ring: on-demand growth = eager ring of the full capacity" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (cap, evs) -> Printf.sprintf "capacity %d, %d events" cap (List.length evs))
+        Gen.(pair (int_range 64 8192) (list_size (int_bound 120) gen_event)))
+    (fun (capacity, events) ->
+      let tr = Trace.create () in
+      Trace.enable ~capacity_bytes:capacity tr;
+      List.iter (Trace.emit tr) events;
+      (Trace.to_bytes tr, Trace.dropped tr, Trace.seq tr) = reference_ring ~capacity events)
+
+let test_enable_allocates_on_demand () =
+  let tr = Trace.create () in
+  let before = Gc.allocated_bytes () in
+  Trace.enable tr;
+  let allocated = Gc.allocated_bytes () -. before in
+  check_bool
+    (Printf.sprintf "enable with the default capacity allocated %.0f bytes (< 128 KiB)" allocated)
+    true
+    (allocated < 128. *. 1024.)
+
 let test_disabled_ring_records_nothing () =
   let tr = Trace.create () in
   Trace.emit tr Trace.Tlb_flush_all;
@@ -180,6 +245,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
           Alcotest.test_case "wraparound keeps newest" `Quick test_wraparound_keeps_newest;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_on_demand_ring_matches_eager;
+          Alcotest.test_case "enable allocates on demand" `Quick test_enable_allocates_on_demand;
           Alcotest.test_case "disabled ring records nothing" `Quick
             test_disabled_ring_records_nothing;
           Alcotest.test_case "depth suppression" `Quick test_depth_suppression;
