@@ -22,88 +22,39 @@ type snapshot = {
 }
 
 (* --- cross-trial scan cache ------------------------------------------
-   Campaign loops snapshot the same reset-to-baseline testbed thousands
-   of times; almost every trial leaves the page-table trees and the M2P
-   untouched. The cache remembers baseline scan results and reuses them
-   whenever it can prove the inputs did not change:
+   The cache itself (what it keeps and when a kept result may stand in
+   for a fresh audit) lives in [Scan_cache]; every testbed owns one. A
+   miss runs exactly the uncached audit, plus recording which frames it
+   read when the result may be kept. *)
 
-   - it is (re-)anchored at the lowest (baseline epoch, Page_info
-     generation) pair it observes. Restore rewinds the generation to the
-     checkpointed value and every type/ownership mutation bumps it, so
-     generation = anchor iff the type state equals the baseline's;
-   - each cached page-table scan records the table frames it visited;
-     the entry is only valid while [Phys_mem.dirty_list] (frames touched
-     since baseline) stays disjoint from that set.
+type scan_cache = Scan_cache.t
 
-   A cache must not outlive its testbed or be shared across testbeds:
-   the anchor identifies a baseline, not a hypervisor. *)
-
-type scan_cache = {
-  c_pt : (int, pt_cached) Hashtbl.t;  (* domain id -> baseline scan *)
-  mutable c_m2p : int option;  (* baseline M2P mismatch count *)
-  mutable c_anchor : (int * int) option;  (* baseline epoch, Page_info gen *)
-}
-
-and pt_cached = {
-  pc_count : int;
-  pc_l4 : Addr.mfn;
-  pc_deps : (Addr.mfn, unit) Hashtbl.t;  (* table frames the scan read *)
-}
-
-let create_scan_cache () =
-  { c_pt = Hashtbl.create 8; c_m2p = None; c_anchor = None }
-
-(* True iff the current type state provably equals the cache's baseline;
-   drops stale contents when the baseline itself moved. *)
-let cache_anchored cache hv =
-  let e = Phys_mem.baseline_epoch hv.Hv.mem in
-  let g = Page_info.generation hv.Hv.pages in
-  match cache.c_anchor with
-  | Some (ae, ag) when ae = e && ag = g -> true
-  | Some (ae, ag) when ae = e && g > ag -> false
-  | _ ->
-      Hashtbl.reset cache.c_pt;
-      cache.c_m2p <- None;
-      cache.c_anchor <- Some (e, g);
-      true
-
-let disjoint_from_dirty hv deps =
-  List.for_all (fun m -> not (Hashtbl.mem deps m)) (Phys_mem.dirty_list hv.Hv.mem)
+let create_scan_cache = Scan_cache.create
 
 (* The M2P must stay the inverse of every domain's P2M — a hypervisor
    invariant any auditing monitor can check from outside the guests. *)
 let m2p_mismatch_fresh hv =
-  List.fold_left
-    (fun acc dom ->
-      List.fold_left
-        (fun acc pfn ->
-          match Domain.mfn_of_pfn dom pfn with
-          | Some mfn when Hv.m2p_lookup hv mfn <> Some pfn ->
-              (* the verdict depends on the inconsistent M2P entry *)
-              let m2p_mfn, off = Hv.m2p_frame_for hv mfn in
-              Phys_mem.observe hv.Hv.mem ~consumer:Provenance.M2p_check ~mfn:m2p_mfn ~off
-                ~len:8;
-              acc + 1
-          | Some _ | None -> acc)
-        acc (Domain.populated_pfns dom))
-    0 hv.Hv.domains
+  let n = ref 0 in
+  List.iter
+    (fun dom ->
+      Domain.iter_populated dom (fun pfn mfn ->
+          if not (Hv.m2p_maps hv mfn pfn) then begin
+            (* the verdict depends on the inconsistent M2P entry *)
+            let m2p_mfn, off = Hv.m2p_frame_for hv mfn in
+            Phys_mem.observe hv.Hv.mem ~consumer:Provenance.M2p_check ~mfn:m2p_mfn ~off ~len:8;
+            incr n
+          end))
+    hv.Hv.domains;
+  !n
 
-(* Every P2M mutation in the hypervisor goes through an allocation or a
-   release (both bump the Page_info generation, i.e. break the anchor),
-   so with the anchor held the count can only change through raw writes
-   to the M2P frames themselves — which the dirty list exposes. *)
 let m2p_mismatch_count ?cache hv =
   match cache with
-  | Some c when cache_anchored c hv ->
-      let m2p_clean =
-        List.for_all (fun m -> not (Hv.is_m2p_frame hv m)) (Phys_mem.dirty_list hv.Hv.mem)
-      in
-      (match c.c_m2p with
-      | Some n when m2p_clean -> n
-      | _ ->
-          let n = m2p_mismatch_fresh hv in
-          if m2p_clean then c.c_m2p <- Some n;
-          n)
+  | Some c when Scan_cache.usable c hv ->
+      if Scan_cache.m2p_hit c hv then 0
+      else
+        let n = m2p_mismatch_fresh hv in
+        if n = 0 then Scan_cache.record_m2p c hv;
+        n
   | Some _ | None -> m2p_mismatch_fresh hv
 
 (* Walk a domain's live page tables exactly like the MMU would, counting
@@ -111,84 +62,95 @@ let m2p_mismatch_count ?cache hv =
    access to frames currently typed as page tables. The address-space
    layout filter is what lets hardened versions "handle" states that
    older layouts expose. *)
-(* [memo] caches subtree counts within one snapshot, keyed by
-   everything the count depends on — table frame, level, VA prefix and
-   the accumulated RW permission — so the Xen structures mapped into all
-   three domains at the same slots are scanned once, not per domain. *)
-let writable_pt_exposure ?memo ?cache hv dom =
-  let mem = hv.Hv.mem in
+(* [memo] caches subtree counts across the domains of one snapshot,
+   keyed by everything the count depends on — table frame, level, VA
+   prefix and the accumulated RW permission — so a table mapped into
+   several domains at the same slot is scanned once, not per domain.
+   Each value carries the frame set of the walk that produced it, so a
+   domain that reuses another's subtree also inherits its dependencies
+   (a superset of the subtree's: sound for the scan cache). *)
+type walk = {
+  memo : (int * Addr.mfn * int64 * bool, int * Scan_cache.deps option) Hashtbl.t;
+  collect : bool;  (* record the frames each domain's walk reads *)
+}
+
+let new_walk ~collect = { memo = Hashtbl.create 64; collect }
+
+let exposure_walk walk hv dom =
+  let mem = hv.Hv.mem and pages = hv.Hv.pages in
   let hardened = Hv.hardened hv in
-  let typed_pt mfn =
-    Phys_mem.is_valid_mfn mem mfn
-    &&
-    let info = Page_info.get hv.Hv.pages mfn in
-    Page_info.table_level info.Page_info.ptype <> None && info.Page_info.type_count > 0
-  in
+  let typed_pt mfn = Phys_mem.is_valid_mfn mem mfn && Page_info.typed_table pages mfn in
   let guest_writable va = Layout.guest_access ~hardened (Addr.canonical va) = Layout.Read_write in
-  let shift level = Addr.page_shift + (9 * (level - 1)) in
-  let deps = match cache with Some _ -> Some (Hashtbl.create 32) | None -> None in
+  let deps = if walk.collect then Some (Hashtbl.create 32) else None in
+  let inherited = ref [] in
   let rec scan level table_mfn va_prefix rw =
     if not (Phys_mem.is_valid_mfn mem table_mfn) then 0
     else begin
       (match deps with Some d -> Hashtbl.replace d table_mfn () | None -> ());
       let frame = Phys_mem.frame_ro mem table_mfn in
+      let shift = Addr.page_shift + (9 * (level - 1)) in
+      (* the VA is only built on the rare paths that read it *)
+      let va index = Int64.logor va_prefix (Int64.shift_left (Int64.of_int index) shift) in
       let count = ref 0 in
+      let flag index =
+        (* a flagged mapping is evidence read out of this entry *)
+        Phys_mem.observe mem ~consumer:Provenance.Monitor_scan ~mfn:table_mfn ~off:(8 * index)
+          ~len:8;
+        incr count
+      in
       (* iter_present probes the present bit with byte loads inside
          Frame, so absent entries (most of any table) cost neither an
          int64 decode nor a cross-module call *)
       Frame.iter_present frame (fun index e ->
-          let va = Int64.logor va_prefix (Int64.shift_left (Int64.of_int index) (shift level)) in
           let rw = rw && Pte.test Pte.Rw e in
-          let flag () =
-            (* a flagged mapping is evidence read out of this entry *)
-            Phys_mem.observe mem ~consumer:Provenance.Monitor_scan ~mfn:table_mfn
-              ~off:(8 * index) ~len:8;
-            incr count
-          in
           if level = 1 then begin
-            if rw && typed_pt (Pte.mfn e) && guest_writable va then flag ()
+            if rw && typed_pt (Pte.mfn e) && guest_writable (va index) then flag index
           end
           else if level = 2 && Pte.test Pte.Pse e then begin
-            if rw && guest_writable va then begin
+            if rw && guest_writable (va index) then begin
               let base = Pte.mfn e land lnot 0x1ff in
               for m = base to base + 511 do
-                if typed_pt m then flag ()
+                if typed_pt m then flag index
               done
             end
           end
-          else count := !count + scan_memo (level - 1) (Pte.mfn e) va rw);
+          else count := !count + scan_memo (level - 1) (Pte.mfn e) (va index) rw);
       !count
     end
   and scan_memo level table_mfn va_prefix rw =
-    (* the memo shortcut would skip dependency recording, so it is only
-       taken when no cache is collecting deps *)
-    match (memo, deps) with
-    | None, _ | Some _, Some _ -> scan level table_mfn va_prefix rw
-    | Some tbl, None -> (
-        let key = (level, table_mfn, va_prefix, rw) in
-        match Hashtbl.find_opt tbl key with
-        | Some n -> n
-        | None ->
-            let n = scan level table_mfn va_prefix rw in
-            Hashtbl.add tbl key n;
-            n)
+    let key = (level, table_mfn, va_prefix, rw) in
+    match Hashtbl.find_opt walk.memo key with
+    | Some (n, producer) ->
+        (match (deps, producer) with
+        | Some d, Some p when p != d && not (List.memq p !inherited) ->
+            inherited := p :: !inherited;
+            Hashtbl.iter (fun m () -> Hashtbl.replace d m ()) p
+        | _ -> ());
+        n
+    | None ->
+        let n = scan level table_mfn va_prefix rw in
+        Hashtbl.add walk.memo key (n, deps);
+        n
   in
-  let fresh () = scan_memo 4 dom.Domain.l4_mfn 0L true in
-  match (cache, deps) with
-  | Some c, Some d when cache_anchored c hv -> (
-      match Hashtbl.find_opt c.c_pt dom.Domain.id with
-      | Some pc
-        when pc.pc_l4 = dom.Domain.l4_mfn && disjoint_from_dirty hv pc.pc_deps ->
-          pc.pc_count
-      | _ ->
-          let count = fresh () in
-          (* only a scan of untouched-since-baseline tables is a
-             baseline scan worth keeping *)
-          if disjoint_from_dirty hv d then
-            Hashtbl.replace c.c_pt dom.Domain.id
-              { pc_count = count; pc_l4 = dom.Domain.l4_mfn; pc_deps = d };
-          count)
-  | _ -> fresh ()
+  let n = scan_memo 4 dom.Domain.l4_mfn 0L true in
+  (n, deps)
+
+(* The exposure of each domain, in order: a cache hit stands in for a
+   walk that provably finds nothing; misses share one memo. *)
+let pt_exposures ?cache hv doms =
+  let usable = match cache with Some c -> Scan_cache.usable c hv | None -> false in
+  let walk = lazy (new_walk ~collect:usable) in
+  List.map
+    (fun dom ->
+      match cache with
+      | Some c when usable && Scan_cache.pt_hit c hv dom -> 0
+      | _ -> (
+          match (exposure_walk (Lazy.force walk) hv dom, cache) with
+          | (0, Some deps), Some c -> Scan_cache.record_pt c hv dom deps; 0
+          | (n, _), _ -> n))
+    doms
+
+let writable_pt_exposure ?cache hv dom = List.hd (pt_exposures ?cache hv [ dom ])
 
 let root_secrets kernel =
   let fs = Kernel.fs kernel in
@@ -199,13 +161,23 @@ let root_secrets kernel =
       | Some _ | None -> None)
     (Fs.paths fs)
 
+(* [sub] occurs in [s], compared in place *)
+let contains s sub =
+  let n = String.length sub and m = String.length s in
+  let rec matches_at i j =
+    j >= n || (String.unsafe_get s (i + j) = String.unsafe_get sub j && matches_at i (j + 1))
+  in
+  let rec search i = i + n <= m && (matches_at i 0 || search (i + 1)) in
+  n > 0 && search 0
+
 let snapshot ?cache (tb : Testbed.t) =
+  let hv = tb.Testbed.hv in
   let kernels = Testbed.kernels tb in
+  let secrets = List.map (fun k -> (k, root_secrets k)) kernels in
   let root_artifacts =
     List.concat_map
-      (fun k ->
-        List.map (fun (path, _) -> (Kernel.hostname k, path)) (root_secrets k))
-      kernels
+      (fun (k, files) -> List.map (fun (path, _) -> (Kernel.hostname k, path)) files)
+      secrets
   in
   let connections =
     Netsim.connections_to tb.Testbed.net ~host:tb.Testbed.remote_host ~port:1234
@@ -219,27 +191,19 @@ let snapshot ?cache (tb : Testbed.t) =
      of a cross-host connection. *)
   let disclosed =
     List.concat_map
-      (fun k ->
+      (fun (k, files) ->
         List.filter_map
           (fun (path, content) ->
             let leaked =
               List.exists
                 (fun c ->
                   c.Netsim.from_host = Kernel.hostname k
-                  &&
-                  let t = Netsim.transcript c in
-                  let n = String.length content and m = String.length t in
-                  let rec search i =
-                    if i + n > m then false
-                    else if String.sub t i n = content then true
-                    else search (i + 1)
-                  in
-                  n > 0 && search 0)
+                  && contains (Netsim.transcript c) content)
                 connections
             in
             if leaked then Some (Printf.sprintf "%s:%s" (Kernel.hostname k) path) else None)
-          (root_secrets k))
-      kernels
+          files)
+      secrets
   in
   let guest_crashes =
     List.filter_map
@@ -254,38 +218,25 @@ let snapshot ?cache (tb : Testbed.t) =
       kernels
   in
   let pt_exposure =
-    (* With a cross-trial cache, reuse baseline scans; otherwise share a
-       memo across the three domains so Xen mappings mapped at the same
-       slots are walked once per snapshot instead of once per domain. *)
-    match cache with
-    | Some _ ->
-        List.map
-          (fun k -> (Kernel.hostname k, writable_pt_exposure ?cache tb.Testbed.hv (Kernel.dom k)))
-          kernels
-    | None ->
-        let memo = Hashtbl.create 64 in
-        List.map
-          (fun k -> (Kernel.hostname k, writable_pt_exposure ~memo tb.Testbed.hv (Kernel.dom k)))
-          kernels
+    List.map2
+      (fun k n -> (Kernel.hostname k, n))
+      kernels
+      (pt_exposures ?cache hv (List.map Kernel.dom kernels))
   in
   {
-    crashed = Hv.is_crashed tb.Testbed.hv;
-    crash_reason =
-      (match tb.Testbed.hv.Hv.crashed with Some { Hv.reason; _ } -> Some reason | None -> None);
+    crashed = Hv.is_crashed hv;
+    crash_reason = (match hv.Hv.crashed with Some { Hv.reason; _ } -> Some reason | None -> None);
     root_artifacts;
     root_shells;
     disclosed;
     guest_crashes;
     pending_events;
     pt_exposure;
-    m2p_mismatches = m2p_mismatch_count ?cache tb.Testbed.hv;
+    m2p_mismatches = m2p_mismatch_count ?cache hv;
     domain_pages =
-      List.map
-        (fun k ->
-          (Kernel.hostname k, List.length (Domain.populated_pfns (Kernel.dom k))))
-        kernels;
-    sched_stalled = Sched.stalled_slices tb.Testbed.hv.Hv.sched;
-    free_frames = Phys_mem.free_frames tb.Testbed.hv.Hv.mem;
+      List.map (fun k -> (Kernel.hostname k, Domain.populated_count (Kernel.dom k))) kernels;
+    sched_stalled = Sched.stalled_slices hv.Hv.sched;
+    free_frames = Phys_mem.free_frames hv.Hv.mem;
   }
 
 let subtract l before = List.filter (fun x -> not (List.mem x before)) l

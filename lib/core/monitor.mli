@@ -39,33 +39,27 @@ type snapshot = {
       (** free host frames; halving between snapshots is exhaustion *)
 }
 
-type scan_cache
+type scan_cache = Scan_cache.t
 (** Cross-snapshot cache for the expensive audits (page-table walks and
-    the M2P inverse check). Campaign loops snapshot the same
-    reset-to-baseline testbed thousands of times; the cache reuses
-    baseline scan results whenever it can prove their inputs unchanged —
-    via the [Phys_mem] dirty list and the [Page_info] type-state
-    generation. Create one cache per testbed and keep it for the
-    testbed's whole reset lifetime; never share it across testbeds. *)
+    the M2P inverse check); see {!Scan_cache} for when a kept result
+    stands in for a fresh audit. Every testbed owns one
+    ([tb.Testbed.scan_cache]), which {!Substrate_xen.snapshot} passes,
+    so every campaign, matrix and trace-driver trial goes through it. *)
 
 val create_scan_cache : unit -> scan_cache
+(** A fresh, empty cache, for callers that manage their own. *)
 
 val snapshot : ?cache:scan_cache -> Testbed.t -> snapshot
 (** [snapshot ?cache tb] is independent of [cache]: passing one changes
-    only the cost, never the result. *)
+    only the cost, never the result (nor the provenance the audits
+    emit). Without [cache] it is the uncached reference. *)
 
-val writable_pt_exposure :
-  ?memo:(int * Addr.mfn * int64 * bool, int) Hashtbl.t ->
-  ?cache:scan_cache ->
-  Hv.t ->
-  Domain.t ->
-  int
+val writable_pt_exposure : ?cache:scan_cache -> Hv.t -> Domain.t -> int
 (** The integrity audit behind [pt_exposure]: how many leaf (or
     superpage) mappings give this domain, at guest privilege, write
     access to frames currently typed as page tables. Always 0 on a
-    healthy direct-paging system. [memo] dedups shared subtrees within
-    one snapshot; [cache] (which takes precedence) reuses whole baseline
-    scans across snapshots of a resettable testbed. *)
+    healthy direct-paging system. [cache] reuses baseline walks across
+    snapshots of a resettable testbed. *)
 
 val violations : before:snapshot -> after:snapshot -> violation list
 (** Violations that appeared between the two snapshots, most severe

@@ -121,13 +121,14 @@ let run_hook (tb : Testbed.t) choice =
       ignore (Hv.exhaust_memory hv ~leave:(Phys_mem.free_frames hv.Hv.mem / 4));
       `Nothing
 
-let run_trial rng index (tb : Testbed.t) ?cache ~before target =
+let run_trial rng index (tb : Testbed.t) ~before target =
+  let cache = tb.Testbed.scan_cache in
   let hv = tb.Testbed.hv in
   let addr, value = synthesize rng tb target in
   if target = Component_hooks then begin
     let cleanup = run_hook tb addr in
     activate tb;
-    let after = Monitor.snapshot ?cache tb in
+    let after = Monitor.snapshot ~cache tb in
     let violations = Monitor.violations ~before ~after in
     (match cleanup with
     | `Unhang_after dom -> ignore (Sched.unhang_vcpu hv.Hv.sched ~dom)
@@ -161,7 +162,7 @@ let run_trial rng index (tb : Testbed.t) ?cache ~before target =
       { index; target; t_addr = addr; t_value = value; outcome = Refused; t_violations = [] }
   | Ok () ->
       activate tb;
-      let after = Monitor.snapshot ?cache tb in
+      let after = Monitor.snapshot ~cache tb in
       let violations = Monitor.violations ~before ~after in
       let crashed = List.exists (function Monitor.Hypervisor_crash _ -> true | _ -> false) violations in
       let outcome =
@@ -188,14 +189,10 @@ let trial_seed seed index =
 
 (* Per-worker campaign state: one long-lived testbed, reset between
    trials (O(dirty pages), replacing the boot-per-crash of earlier
-   revisions), and the pristine before-snapshot taken once — the state
-   after reset + injector install is identical on every trial, so the
-   snapshot is too. *)
-type worker = {
-  w_tb : Testbed.t;
-  w_cache : Monitor.scan_cache;
-  mutable w_before : Monitor.snapshot option;
-}
+   revisions; its scan cache lives as long), and the pristine
+   before-snapshot taken once — the state after reset + injector
+   install is identical on every trial, so the snapshot is too. *)
+type worker = { w_tb : Testbed.t; mutable w_before : Monitor.snapshot option }
 
 let pristine w =
   Testbed.reset w.w_tb;
@@ -203,14 +200,13 @@ let pristine w =
   match w.w_before with
   | Some before -> before
   | None ->
-      let before = Monitor.snapshot ~cache:w.w_cache w.w_tb in
+      let before = Monitor.snapshot ~cache:w.w_tb.Testbed.scan_cache w.w_tb in
       w.w_before <- Some before;
       before
 
 let make_worker ?(pooled = false) version =
   {
     w_tb = (if pooled then Testbed.create_pooled version else Testbed.create version);
-    w_cache = Monitor.create_scan_cache ();
     w_before = None;
   }
 
@@ -227,7 +223,7 @@ let run_one_cov w ~seed ~targets index =
   (match cov with Some c -> Coverage.clear c | None -> ());
   let rng = Prng.create ~seed:(trial_seed seed index) in
   let target = Prng.choose rng targets in
-  let t = run_trial rng index w.w_tb ~cache:w.w_cache ~before target in
+  let t = run_trial rng index w.w_tb ~before target in
   let m =
     match cov with
     | None -> None

@@ -64,8 +64,8 @@ type summary = {
     The building blocks {!run} itself is made of, exported so the
     campaign scheduler ({!Campaign_scheduler}) can drive trials from a
     flattened multi-version work queue: one long-lived testbed per
-    worker (reset between trials), the monitor scan cache, and the
-    memoized pristine before-snapshot. *)
+    worker (reset between trials, snapshotted through the testbed's own
+    scan cache), and the memoized pristine before-snapshot. *)
 
 type worker
 

@@ -61,7 +61,10 @@ let audit tb spec = Erroneous_state.audit ~dm:(Devmodel.fdc tb.Testbed.dm) tb.Te
 
 type snapshot = Monitor.snapshot
 
-let snapshot tb = Monitor.snapshot tb
+(* through the testbed's own scan cache: every campaign, matrix and
+   trace-driver trial gets the cross-trial reuse, with no change at the
+   call site *)
+let snapshot tb = Monitor.snapshot ~cache:tb.Testbed.scan_cache tb
 let violations = Monitor.violations
 let violations_by_domain = Monitor.violations_by_domain
 let host_alive (s : snapshot) = not s.Monitor.crashed

@@ -10,6 +10,7 @@ type t = {
   mutable load_streams : (int * Load_mix.stream) list;
   remote_host : string;
   checkpoint : Hv.checkpoint;
+  scan_cache : Scan_cache.t;
 }
 
 let guest_kernels t = t.victim :: t.attacker :: t.extras
@@ -54,6 +55,7 @@ let create ?(frames = 2048) ?(dom0_pages = 128) ?(guest_pages = 96) ?(domains = 
       load_streams = [];
       remote_host = "xen2";
       checkpoint = Hv.checkpoint hv;
+      scan_cache = Scan_cache.create ();
     }
   in
   reseed_load t;
@@ -88,6 +90,9 @@ let fork ?load template =
       load_streams = [];
       remote_host = template.remote_host;
       checkpoint = template.checkpoint;
+      (* never the template's: a cache's anchor names a baseline, not
+         the hypervisor it was read from *)
+      scan_cache = Scan_cache.create ();
     }
   in
   reseed_load t;

@@ -34,6 +34,9 @@ type t = {
   mutable load_streams : (int * Load_mix.stream) list;
   remote_host : string;
   checkpoint : Hv.checkpoint;
+  scan_cache : Scan_cache.t;
+      (** this testbed's monitor scan cache: made by {!create} and
+          {!fork} (never shared with a template), kept across {!reset} *)
 }
 
 val create :

@@ -57,6 +57,14 @@ let populated_pfns t =
   done;
   !acc
 
+let populated_count t =
+  let n = ref 0 in
+  Array.iter (function Some _ -> incr n | None -> ()) t.p2m;
+  !n
+
+let iter_populated t f =
+  Array.iteri (fun pfn -> function Some mfn -> f pfn mfn | None -> ()) t.p2m
+
 let owned t = Phys_mem.Dom t.id
 
 let kernel_vaddr_of_pfn pfn =
@@ -73,4 +81,4 @@ let pfn_of_kernel_vaddr va =
 let pp ppf t =
   Format.fprintf ppf "dom%d(%s%s, %d pages)" t.id t.name
     (if t.privileged then ", privileged" else "")
-    (List.length (populated_pfns t))
+    (populated_count t)

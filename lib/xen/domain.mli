@@ -35,6 +35,13 @@ val pfn_of_mfn : t -> Addr.mfn -> Addr.pfn option
 
 val set_p2m : t -> Addr.pfn -> Addr.mfn option -> unit
 val populated_pfns : t -> Addr.pfn list
+
+val populated_count : t -> int
+(** [List.length (populated_pfns t)], without building the list. *)
+
+val iter_populated : t -> (Addr.pfn -> Addr.mfn -> unit) -> unit
+(** [f pfn mfn] for every populated P2M entry, in pfn order, in place. *)
+
 val owned : t -> Phys_mem.owner
 val kernel_vaddr_of_pfn : Addr.pfn -> Addr.vaddr
 (** Where the builder maps guest page [pfn] in the PV kernel area. *)

@@ -53,15 +53,7 @@ let fresh_domid t =
   t.next_domid <- id + 1;
   id
 
-let mark_alloc t mfn owner =
-  Page_info.touch t.pages mfn;
-  let info = Page_info.get t.pages mfn in
-  info.Page_info.owner <- owner;
-  info.Page_info.ptype <- Page_info.PGT_none;
-  info.Page_info.type_count <- 0;
-  info.Page_info.ref_count <- 1;
-  info.Page_info.validated <- false;
-  info.Page_info.pinned <- false
+let mark_alloc t mfn owner = Page_info.assign t.pages mfn owner
 
 let alloc_xen_page t =
   let mfn = Phys_mem.alloc t.mem Phys_mem.Xen in
@@ -75,15 +67,10 @@ let alloc_domain_page t dom =
   mfn
 
 let release_page t mfn =
-  let info = Page_info.get t.pages mfn in
-  if info.Page_info.type_count > 0 then Error Errno.EBUSY
-  else if info.Page_info.ref_count > 1 then Error Errno.EBUSY
+  if Page_info.type_count t.pages mfn > 0 then Error Errno.EBUSY
+  else if Page_info.ref_count t.pages mfn > 1 then Error Errno.EBUSY
   else begin
-    Page_info.touch t.pages mfn;
-    info.Page_info.owner <- Phys_mem.Free;
-    info.Page_info.ref_count <- 0;
-    info.Page_info.validated <- false;
-    info.Page_info.pinned <- false;
+    Page_info.release t.pages mfn;
     Phys_mem.free t.mem mfn;
     Ok ()
   end
@@ -129,6 +116,16 @@ let m2p_lookup t mfn =
   let frame_mfn, off = m2p_frame_for t mfn in
   let v = Frame.get_u64 (Phys_mem.frame_ro t.mem frame_mfn) off in
   if v = m2p_invalid_entry then None else Some (Int64.to_int v)
+
+let m2p_maps t mfn pfn =
+  let idx = mfn / entries_per_m2p_frame in
+  if idx < 0 || idx >= Array.length t.m2p_mfns then invalid_arg "Hv.m2p_maps: bad mfn";
+  let v =
+    Frame.get_u64
+      (Phys_mem.frame_ro t.mem t.m2p_mfns.(idx))
+      (mfn mod entries_per_m2p_frame * 8)
+  in
+  v <> m2p_invalid_entry && Int64.to_int v = pfn
 
 let is_m2p_frame t mfn = Array.exists (fun m -> m = mfn) t.m2p_mfns
 

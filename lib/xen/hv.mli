@@ -66,6 +66,11 @@ val release_page : t -> Addr.mfn -> (unit, Errno.t) result
 
 val m2p_set : t -> Addr.mfn -> Addr.pfn option -> unit
 val m2p_lookup : t -> Addr.mfn -> Addr.pfn option
+
+val m2p_maps : t -> Addr.mfn -> Addr.pfn -> bool
+(** [m2p_maps t mfn pfn] is [m2p_lookup t mfn = Some pfn], without
+    allocating. *)
+
 val m2p_invalid_entry : int64
 val m2p_frame_for : t -> Addr.mfn -> Addr.mfn * int
 (** Frame of the M2P table holding the entry for [mfn], and the byte

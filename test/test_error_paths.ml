@@ -35,17 +35,17 @@ let test_promote_rollback_restores_counts () =
   let frame = Phys_mem.frame hv.Hv.mem cand_mfn in
   let good_target = Option.get (Domain.mfn_of_pfn guest 11) in
   ignore (Mm.update_va_mapping hv guest ~va:(kva 11) Pte.none);
-  let refs_before = (Page_info.get hv.Hv.pages good_target).Page_info.ref_count in
+  let refs_before = (Page_info.view hv.Hv.pages good_target).Page_info.ref_count in
   Frame.set_entry frame 0 (Pte.make ~mfn:good_target ~flags:[ Pte.Present; Pte.User ]);
   Frame.set_entry frame 1 (Pte.make ~mfn:hv.Hv.idt_mfn ~flags:[ Pte.Present; Pte.Rw; Pte.User ]);
   Alcotest.check errno_t "promotion fails on the bad entry" Errno.EPERM
     (Result.get_error (Mm.promote hv guest ~level:1 cand_mfn));
   (* rollback: no residual type, and the good target's ref restored *)
-  let info = Page_info.get hv.Hv.pages cand_mfn in
+  let info = Page_info.view hv.Hv.pages cand_mfn in
   check_int "type cleared" 0 info.Page_info.type_count;
   check_bool "untyped" true (info.Page_info.ptype = Page_info.PGT_none);
   check_int "good target refs restored" refs_before
-    (Page_info.get hv.Hv.pages good_target).Page_info.ref_count;
+    (Page_info.view hv.Hv.pages good_target).Page_info.ref_count;
   (* fixing the bad entry lets promotion succeed *)
   Frame.set_entry frame 1 Pte.none;
   check_bool "promotes after fix" true (Result.is_ok (Mm.promote hv guest ~level:1 cand_mfn));

@@ -8,6 +8,8 @@
 open Ii_xen
 open Ii_guest
 open Ii_core
+open Ii_scenario
+open Ii_vmi
 module All = Ii_exploits.All_exploits
 
 let check_int = Alcotest.(check int)
@@ -237,10 +239,10 @@ let test_pooled_provenance () =
   let pooled = stats (Testbed.create_pooled Version.V4_6) in
   check_bool "provenance on fork = on fresh boot" true (fresh = pooled)
 
-(* Scan-cache anchoring survives the fork: the cache keys on
-   (baseline epoch, page-info generation), both of which the fork
-   copies, so passing a cache never changes a snapshot — across
-   corruption and resets. *)
+(* Scan-cache anchoring survives the fork: the cache keys on the
+   baseline (memory epoch, page-info checkpoint generation), both of
+   which the fork copies, so passing a cache never changes a snapshot —
+   across corruption and resets. *)
 let test_fork_scan_cache_anchoring () =
   let tb = Testbed.create_pooled Version.V4_8 in
   let cache = Monitor.create_scan_cache () in
@@ -250,6 +252,182 @@ let test_fork_scan_cache_anchoring () =
   check_bool "after corruption" true (agree ());
   Testbed.reset tb;
   check_bool "after reset" true (agree ())
+
+(* --- The testbed's own scan cache, where campaigns use it ------------------ *)
+
+let corpus_dir = if Sys.file_exists "corpus" then "corpus" else "../corpus"
+
+module XV = Scn_vm.Make (Ii_exploits.Scenario_xen)
+
+(* Every Xen program of the corpus, as campaign use cases. *)
+let xen_corpus =
+  lazy
+    (Sys.readdir corpus_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".scn")
+    |> List.sort compare
+    |> List.filter_map (fun f ->
+           match Scn_loader.load_file (Filename.concat corpus_dir f) with
+           | Ok p when XV.compatible p -> Some p
+           | Ok _ -> None
+           | Error e -> Alcotest.failf "%s: %s" f e))
+
+let modes = [ Campaign.Real_exploit; Campaign.Injection ]
+
+(* The corpus matrix as the benchmark runs it: every Xen cell on one
+   pooled, loaded 4-domain testbed per version, each trial snapshotting
+   through the testbed's cache. After each cell — and again after a
+   reset — the cached snapshot must equal the uncached reference, which
+   shares no cache state. *)
+let test_cache_on_corpus_cells () =
+  let progs = Lazy.force xen_corpus in
+  check_int "six xen programs" 6 (List.length progs);
+  List.iter
+    (fun version ->
+      let tb = Testbed.create_pooled ~domains:4 ~load:Ii_trace.Load_mix.default version in
+      let cache = tb.Testbed.scan_cache in
+      List.iter
+        (fun p ->
+          List.iter
+            (fun mode ->
+              let cell =
+                Printf.sprintf "%s/%s/%s" (Scn_bytecode.name p) (Version.to_string version)
+                  (Campaign.mode_to_string mode)
+              in
+              ignore (Campaign.run ~tb (XV.use_case p) mode version);
+              check_bool (cell ^ " after the trial") true
+                (Monitor.snapshot ~cache tb = Monitor.snapshot tb);
+              Testbed.reset tb;
+              check_bool (cell ^ " after reset") true
+                (Monitor.snapshot ~cache tb = Monitor.snapshot tb))
+            modes)
+        progs;
+      (* the trials really went through the cache: every domain's
+         baseline walk is kept *)
+      check_int
+        (Version.to_string version ^ " walks kept")
+        (List.length (Testbed.kernels tb))
+        (Scan_cache.cached_domains cache))
+    Version.all
+
+(* A fork gets a cache of its own, empty at birth, and filling it never
+   touches the template's. *)
+let test_fork_cache_is_its_own () =
+  let template = Testbed.create Version.V4_8 in
+  ignore (Substrate_xen.snapshot template);
+  let kept = Scan_cache.cached_domains template.Testbed.scan_cache in
+  check_bool "template cache filled" true (kept > 0);
+  Phys_mem.freeze template.Testbed.hv.Hv.mem;
+  let fork = Testbed.fork template in
+  check_bool "fork has its own cache" true (fork.Testbed.scan_cache != template.Testbed.scan_cache);
+  check_int "fork cache empty at birth" 0 (Scan_cache.cached_domains fork.Testbed.scan_cache);
+  let snap = Substrate_xen.snapshot fork in
+  check_bool "fork snapshot = uncached" true (snap = Monitor.snapshot fork);
+  check_int "fork cache filled" kept (Scan_cache.cached_domains fork.Testbed.scan_cache);
+  Testbed.reset fork;
+  check_bool "after reset" true (Substrate_xen.snapshot fork = Monitor.snapshot fork);
+  check_int "template cache untouched" kept
+    (Scan_cache.cached_domains template.Testbed.scan_cache)
+
+(* The type-state half of the cache's validity test: a frame promoted to
+   a page table while a stale writable mapping of it survives changes
+   the exposure without writing any table frame the walk read — only
+   the Page_info generation shows it. *)
+let test_cache_sees_type_changes () =
+  let tb = Testbed.create Version.V4_8 in
+  let hv = tb.Testbed.hv in
+  let dom = Kernel.dom tb.Testbed.victim in
+  let agree () = Substrate_xen.snapshot tb = Monitor.snapshot tb in
+  check_bool "baseline" true (agree ());
+  let target = Option.get (Domain.mfn_of_pfn dom 10) in
+  (* drop the writable type the kernel mapping holds, as a corrupted
+     count would, then pin the frame as an L1 under that mapping *)
+  Page_info.put_page_type hv.Hv.pages target;
+  (match Mm.pin_table hv dom ~level:1 target with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "pin: %s" (Errno.to_string e));
+  check_bool "exposure appeared" true (Monitor.writable_pt_exposure hv dom > 0);
+  check_bool "cached snapshot sees it" true (agree ());
+  Testbed.reset tb;
+  check_bool "after reset" true (agree ())
+
+(* --- Instrument neutrality of the cache ----------------------------------- *)
+
+(* [Substrate_xen] with the uncached reference snapshot: everything the
+   recording stack observes must come out byte-identical on both. *)
+module Uncached_xen = struct
+  include Substrate_xen
+
+  let snapshot tb = Monitor.snapshot tb
+end
+
+module Uncached_ops = struct
+  module B = Uncached_xen
+  module S = Ii_exploits.Scenario_xen
+
+  let caps = S.caps
+  let env = S.env
+  let hypercall = S.hypercall
+  let guest_op = S.guest_op
+  let payload = S.payload
+  let state = S.state
+  let host_write = S.host_write
+end
+
+module UV = Scn_vm.Make (Uncached_ops)
+module TD = Trace_driver.Make (Substrate_xen)
+module UTD = Trace_driver.Make (Uncached_xen)
+
+type profile = Ring | Vmi | Prov | Cov
+
+let vmi_hooks () =
+  let s = Vmi.Scheduler.create (Substrate_xen.detectors ()) in
+  ( (fun tb -> Vmi.Scheduler.arm s tb),
+    fun tb -> Vmi.Scheduler.step s (Substrate_xen.trace tb) tb )
+
+let test_cache_instrument_neutral () =
+  let row_bytes r = Marshal.to_string r [ Marshal.No_sharing ] in
+  let cov = Option.map Ii_trace.Coverage.to_hex in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun version ->
+          List.iter
+            (fun mode ->
+              List.iter
+                (fun (pname, profile) ->
+                  let cell =
+                    Printf.sprintf "%s/%s/%s/%s" (Scn_bytecode.name p)
+                      (Version.to_string version) (Campaign.mode_to_string mode) pname
+                  in
+                  let provenance = profile = Prov and coverage = profile = Cov in
+                  let hooks () = if profile = Vmi then Some (vmi_hooks ()) else None in
+                  let c_hooks = hooks () and u_hooks = hooks () in
+                  let c =
+                    TD.record ~provenance ~coverage ?prepare:(Option.map fst c_hooks)
+                      ?observer:(Option.map snd c_hooks) (XV.use_case p) mode version
+                  in
+                  let u =
+                    UTD.record ~provenance ~coverage ?prepare:(Option.map fst u_hooks)
+                      ?observer:(Option.map snd u_hooks) (UV.use_case p) mode version
+                  in
+                  check_bool (cell ^ " ring bytes") true (c.TD.rec_bytes = u.UTD.rec_bytes);
+                  check_bool (cell ^ " provenance") true (c.TD.rec_prov = u.UTD.rec_prov);
+                  check_bool (cell ^ " coverage") true (cov c.TD.rec_cov = cov u.UTD.rec_cov);
+                  check_bool (cell ^ " row") true
+                    (row_bytes c.TD.rec_row = row_bytes u.UTD.rec_row);
+                  check_bool (cell ^ " final snapshot") true (c.TD.rec_final = u.UTD.rec_final);
+                  let cr = TD.replay c and ur = UTD.replay u in
+                  check_bool (cell ^ " replay outcome") true
+                    (( cr.TD.rp_applied, cr.TD.rp_skipped, cr.TD.rp_final, cr.TD.rp_equal,
+                       cr.TD.rp_vts_equal, cr.TD.rp_prov, cr.TD.rp_prov_equal, cov cr.TD.rp_cov,
+                       cr.TD.rp_cov_equal )
+                    = ( ur.UTD.rp_applied, ur.UTD.rp_skipped, ur.UTD.rp_final, ur.UTD.rp_equal,
+                        ur.UTD.rp_vts_equal, ur.UTD.rp_prov, ur.UTD.rp_prov_equal,
+                        cov ur.UTD.rp_cov, ur.UTD.rp_cov_equal )))
+                [ ("ring", Ring); ("vmi", Vmi); ("provenance", Prov); ("coverage", Cov) ])
+            modes)
+        Version.all)
+    (Lazy.force xen_corpus)
 
 let test_fork_template_isolation () =
   let t = Phys_mem.create ~frames:8 in
@@ -523,15 +701,164 @@ let test_page_info_checkpoint_restore () =
   (match Page_info.get_page_type pages 2 Page_info.PGT_l2 with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "typing a fresh frame");
-  Page_info.touch pages 5;
-  (Page_info.get pages 5).Page_info.ptype <- Page_info.PGT_seg;
+  Page_info.set_type pages 5 Page_info.PGT_seg ~count:0;
   Page_info.restore pages ck;
-  check_bool "type rolled back" true ((Page_info.get pages 2).Page_info.ptype = Page_info.PGT_none);
-  check_int "type count rolled back" 0 (Page_info.get pages 2).Page_info.type_count;
+  check_bool "type rolled back" true ((Page_info.view pages 2).Page_info.ptype = Page_info.PGT_none);
+  check_int "type count rolled back" 0 (Page_info.view pages 2).Page_info.type_count;
   check_bool "out-of-band write rolled back" true
-    ((Page_info.get pages 5).Page_info.ptype = Page_info.PGT_none);
+    ((Page_info.view pages 5).Page_info.ptype = Page_info.PGT_none);
   check_int "generation rolled back" g0 (Page_info.generation pages);
   check_bool "counts consistent" true (Page_info.counts_consistent pages)
+
+(* The packed state against a plain-record model: random sequences of
+   the type discipline's operations, allocation and release, pins, and
+   checkpoint/restore/fork interleaved. After every step the packed
+   state equals the model, the counts stay consistent, and the
+   generation moves exactly when the model's type state (owner, type,
+   type count) does — the mark the scan cache and O(touched) restore
+   both rely on. *)
+type pi_op =
+  | Get of int
+  | Put of int
+  | Get_type of int * Page_info.ptype
+  | Put_type of int
+  | Validate of int * bool
+  | Pin of int
+  | Unpin of int
+  | Alloc of int * Phys_mem.owner
+  | Release of int
+  | Checkpoint
+  | Restore
+  | Fork
+
+let pi_frames = 6
+
+let pi_op_gen =
+  let open QCheck.Gen in
+  let mfn = int_bound (pi_frames - 1) in
+  let ptype =
+    oneofl Page_info.[ PGT_writable; PGT_l1; PGT_l2; PGT_l3; PGT_l4; PGT_seg ]
+  in
+  let owner = oneofl Phys_mem.[ Xen; Dom 0; Dom 1; Dom 7 ] in
+  frequency
+    [
+      (3, map (fun m -> Get m) mfn);
+      (3, map (fun m -> Put m) mfn);
+      (4, map2 (fun m p -> Get_type (m, p)) mfn ptype);
+      (3, map (fun m -> Put_type m) mfn);
+      (1, map2 (fun m b -> Validate (m, b)) mfn bool);
+      (1, map (fun m -> Pin m) mfn);
+      (1, map (fun m -> Unpin m) mfn);
+      (2, map2 (fun m o -> Alloc (m, o)) mfn owner);
+      (2, map (fun m -> Release m) mfn);
+      (1, return Checkpoint);
+      (1, return Restore);
+      (1, return Fork);
+    ]
+
+let pi_op_print = function
+  | Get m -> Printf.sprintf "get %d" m
+  | Put m -> Printf.sprintf "put %d" m
+  | Get_type (m, p) -> Printf.sprintf "get_type %d %s" m (Page_info.ptype_to_string p)
+  | Put_type m -> Printf.sprintf "put_type %d" m
+  | Validate (m, b) -> Printf.sprintf "validate %d %b" m b
+  | Pin m -> Printf.sprintf "pin %d" m
+  | Unpin m -> Printf.sprintf "unpin %d" m
+  | Alloc (m, _) -> Printf.sprintf "alloc %d" m
+  | Release m -> Printf.sprintf "release %d" m
+  | Checkpoint -> "checkpoint"
+  | Restore -> "restore"
+  | Fork -> "fork"
+
+let fresh_view =
+  { Page_info.owner = Phys_mem.Free; ptype = Page_info.PGT_none; type_count = 0; ref_count = 0;
+    validated = false; pinned = false }
+
+(* the model of one operation; [None] = the operation must raise *)
+let model_step (v : Page_info.view) = function
+  | Get _ -> Some { v with ref_count = v.ref_count + 1 }
+  | Put _ -> if v.ref_count <= 0 then None else Some { v with ref_count = v.ref_count - 1 }
+  | Get_type (_, p) ->
+      if v.ptype = p && v.type_count > 0 then Some { v with type_count = v.type_count + 1 }
+      else if v.type_count = 0 then Some { v with ptype = p; type_count = 1; validated = false }
+      else Some v (* EBUSY: unchanged *)
+  | Put_type _ ->
+      if v.type_count <= 0 then None
+      else if v.type_count = 1 then
+        Some { v with type_count = 0; validated = false; pinned = false }
+      else Some { v with type_count = v.type_count - 1 }
+  | Validate (_, b) -> Some { v with validated = b }
+  | Pin _ -> Some (if v.type_count > 0 then { v with pinned = true } else v)
+  | Unpin _ -> Some { v with pinned = false }
+  | Alloc (_, o) -> Some { fresh_view with owner = o; ref_count = 1 }
+  | Release _ -> Some { v with owner = Phys_mem.Free; ref_count = 0; validated = false; pinned = false }
+  | Checkpoint | Restore | Fork -> Some v
+
+let apply_op t = function
+  | Get m -> Page_info.get_page t m
+  | Put m -> Page_info.put_page t m
+  | Get_type (m, p) -> ignore (Page_info.get_page_type t m p)
+  | Put_type m -> Page_info.put_page_type t m
+  | Validate (m, b) -> Page_info.set_validated t m b
+  | Pin m -> if Page_info.type_count t m > 0 then Page_info.set_pinned t m true
+  | Unpin m -> Page_info.set_pinned t m false
+  | Alloc (m, o) -> Page_info.assign t m o
+  | Release m -> Page_info.release t m
+  | Checkpoint | Restore | Fork -> ()
+
+let type_state (v : Page_info.view) = (v.owner, v.ptype, v.type_count)
+
+let prop_page_info_model =
+  QCheck.Test.make ~name:"page_info: packed state = record model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pi_op_print ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 60) pi_op_gen))
+    (fun ops ->
+      let t = ref (Page_info.create ~frames:pi_frames) in
+      let model = Array.make pi_frames fresh_view in
+      let ck = ref (Page_info.checkpoint !t) and ck_model = ref (Array.copy model) in
+      let ck_gen = ref (Page_info.generation !t) in
+      let agrees () =
+        Array.for_all2 (fun m i -> m = Page_info.view !t i) model (Array.init pi_frames Fun.id)
+        && Page_info.counts_consistent !t
+      in
+      List.for_all
+        (fun op ->
+          let g0 = Page_info.generation !t in
+          let types0 = Array.map type_state model in
+          let ok =
+            match op with
+            | Checkpoint ->
+                ck := Page_info.checkpoint !t;
+                ck_model := Array.copy model;
+                ck_gen := g0;
+                Page_info.generation !t = g0
+            | Restore ->
+                Page_info.restore !t !ck;
+                Array.blit !ck_model 0 model 0 pi_frames;
+                Page_info.generation !t = !ck_gen
+            | Fork ->
+                t := Page_info.of_checkpoint !ck;
+                Array.blit !ck_model 0 model 0 pi_frames;
+                Page_info.generation !t = !ck_gen
+            | Get m | Put m | Get_type (m, _) | Put_type m | Validate (m, _) | Pin m | Unpin m
+            | Alloc (m, _) | Release m -> (
+                match model_step model.(m) op with
+                | None -> (
+                    match apply_op !t op with
+                    | () -> false
+                    | exception Invalid_argument _ -> Page_info.generation !t = g0)
+                | Some v ->
+                    apply_op !t op;
+                    model.(m) <- v;
+                    let moved = Page_info.generation !t <> g0 in
+                    moved = (type_state v <> types0.(m)))
+          in
+          ok && agrees ()
+          && ((not (Page_info.at_checkpoint !t))
+             || Array.map type_state model = Array.map type_state !ck_model))
+        ops)
 
 let () =
   Alcotest.run "perf_engine"
@@ -548,7 +875,14 @@ let () =
             test_reset_equals_create_campaign;
           Alcotest.test_case "snapshots: reset = create" `Quick test_reset_equals_create_snapshot;
         ] );
-      ("scan_cache", qsuite [ prop_scan_cache_transparent ]);
+      ( "scan_cache",
+        [
+          Alcotest.test_case "testbed cache on every xen corpus cell" `Quick
+            test_cache_on_corpus_cells;
+          Alcotest.test_case "instrument neutrality" `Quick test_cache_instrument_neutral;
+          Alcotest.test_case "type-state changes invalidate" `Quick test_cache_sees_type_changes;
+        ]
+        @ qsuite [ prop_scan_cache_transparent ] );
       ( "pool",
         [
           Alcotest.test_case "campaign rows: pooled = fresh (xen)" `Quick
@@ -561,6 +895,7 @@ let () =
           Alcotest.test_case "provenance on a fork" `Quick test_pooled_provenance;
           Alcotest.test_case "scan-cache anchoring on a fork" `Quick
             test_fork_scan_cache_anchoring;
+          Alcotest.test_case "a fork's scan cache is its own" `Quick test_fork_cache_is_its_own;
         ] );
       ( "cow_fork",
         [
@@ -603,5 +938,6 @@ let () =
         [
           Alcotest.test_case "generation" `Quick test_page_info_generation;
           Alcotest.test_case "checkpoint/restore" `Quick test_page_info_checkpoint_restore;
-        ] );
+        ]
+        @ qsuite [ prop_page_info_model ] );
     ]

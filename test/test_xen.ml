@@ -49,17 +49,17 @@ let test_page_type_discipline () =
   check_bool "retype busy" true
     (Page_info.get_page_type t 0 Page_info.PGT_writable = Error Errno.EBUSY);
   check_bool "same type ok" true (Page_info.get_page_type t 0 Page_info.PGT_l1 = Ok ());
-  check_int "count" 2 (Page_info.get t 0).Page_info.type_count;
+  check_int "count" 2 (Page_info.view t 0).Page_info.type_count;
   Page_info.put_page_type t 0;
   Page_info.put_page_type t 0;
-  check_int "count zero" 0 (Page_info.get t 0).Page_info.type_count;
+  check_int "count zero" 0 (Page_info.view t 0).Page_info.type_count;
   check_bool "retype after drop" true (Page_info.get_page_type t 0 Page_info.PGT_writable = Ok ())
 
 let test_page_refcounts () =
   let t = Page_info.create ~frames:2 in
   Page_info.get_page t 1;
   Page_info.get_page t 1;
-  check_int "refs" 2 (Page_info.get t 1).Page_info.ref_count;
+  check_int "refs" 2 (Page_info.view t 1).Page_info.ref_count;
   Page_info.put_page t 1;
   Page_info.put_page t 1;
   Alcotest.check_raises "underflow" (Invalid_argument "Page_info.put_page: refcount underflow")
@@ -666,7 +666,7 @@ let test_pin_unpin () =
   let hv, _, guest = built () in
   let l1 = l1_of hv guest in
   check_bool "pin l1" true (Result.is_ok (Mm.pin_table hv guest ~level:1 l1));
-  check_bool "pinned" true (Page_info.get hv.Hv.pages l1).Page_info.pinned;
+  check_bool "pinned" true (Page_info.view hv.Hv.pages l1).Page_info.pinned;
   check_bool "unpin" true (Result.is_ok (Mm.unpin_table hv guest l1));
   Alcotest.check errno_t "unpin twice" Errno.EINVAL
     (Result.get_error (Mm.unpin_table hv guest l1))
@@ -832,7 +832,7 @@ let test_abi_mmuext_pin_unpin () =
   let l1 = l1_of hv guest in
   stage hv guest (Abi.encode_mmuext [ (Abi.mmuext_pin_l1, Int64.of_int l1) ]);
   check_int "pin rax" 1 (Abi.dispatch hv guest ~number:Abi.mmuext_op_nr ~rdi:scratch_va ~rsi:1L ());
-  check_bool "pinned" true (Page_info.get hv.Hv.pages l1).Page_info.pinned;
+  check_bool "pinned" true (Page_info.view hv.Hv.pages l1).Page_info.pinned;
   stage hv guest (Abi.encode_mmuext [ (Abi.mmuext_unpin, Int64.of_int l1) ]);
   check_int "unpin rax" 1 (Abi.dispatch hv guest ~number:Abi.mmuext_op_nr ~rdi:scratch_va ~rsi:1L ());
   stage hv guest (Abi.encode_mmuext [ (99L, Int64.of_int l1) ]);
