@@ -74,10 +74,12 @@ let vdso_mfn t =
 
 (* A top-level crossing from a script into the guest: record it as a
    boundary event. Everything the machine does underneath (faults,
-   flushes, nested hypercalls) is a consequence replay regenerates. *)
-let trace_boundary t event =
+   flushes, nested hypercalls) is a consequence replay regenerates.
+   Callers test this before building the event, so an access with the
+   ring off allocates no event. *)
+let at_boundary t =
   let tr = t.hv.Hv.trace in
-  if Trace.recording tr && Trace.top_level tr then Trace.emit tr (event ())
+  Trace.recording tr && Trace.top_level tr
 
 let pt_entry t ~table_mfn ~index =
   match Domain.pfn_of_mfn t.domain table_mfn with
@@ -89,9 +91,10 @@ let pt_entry t ~table_mfn ~index =
       (* probe reads hit the TLB like any kernel read, so they are part
          of the replayable input stream (op [Op_probe_u64]) even though
          they never deliver a fault *)
-      trace_boundary t (fun () ->
-          Trace.Guest_mem
-            { domid = t.domain.Domain.id; op = Trace.Op_probe_u64; va; len = 8; data = "" });
+      if at_boundary t then
+        Trace.emit t.hv.Hv.trace
+          (Trace.Guest_mem
+             { domid = t.domain.Domain.id; op = Trace.Op_probe_u64; va; len = 8; data = "" });
       match
         Cpu.read_u64 t.hv.Hv.cpu ~ring:Cpu.Kernel ~cr3:t.domain.Domain.l4_mfn va
       with
@@ -113,58 +116,80 @@ let guest_fault t (fault : Paging.fault) =
   | Cpu.Double_fault_panic _ | Cpu.Triple_fault -> ());
   Error fault
 
-let access t ~ring f =
-  match f ~ring ~cr3:t.domain.Domain.l4_mfn with
-  | Ok v -> Ok v
+(* The accessors below call the CPU directly rather than through a
+   shared higher-order wrapper: with the ring off and provenance
+   detached, a TLB-hit access then allocates only its result. *)
+
+let trace_mem t op va ~len ~data =
+  Trace.emit t.hv.Hv.trace (Trace.Guest_mem { domid = t.domain.Domain.id; op; va; len; data })
+
+let u64_data v =
+  let data = Bytes.create 8 in
+  Bytes.set_int64_le data 0 v;
+  Bytes.unsafe_to_string data
+
+let cpu_read_u64 t ~ring va =
+  match Cpu.read_u64 t.hv.Hv.cpu ~ring ~cr3:t.domain.Domain.l4_mfn va with
+  | Ok _ as ok -> ok
+  | Error fault -> guest_fault t fault
+
+let cpu_write_u64 t ~ring va v =
+  match Cpu.write_u64 t.hv.Hv.cpu ~ring ~cr3:t.domain.Domain.l4_mfn va v with
+  | Ok () as ok -> ok
+  | Error fault -> guest_fault t fault
+
+let cpu_write_bytes t va b =
+  match Cpu.write_bytes t.hv.Hv.cpu ~ring:Cpu.Kernel ~cr3:t.domain.Domain.l4_mfn va b with
+  | Ok () as ok -> ok
   | Error fault -> guest_fault t fault
 
 (* guest stores carry the writing domain as origin; a hypercall issued
-   underneath installs its own (more specific) origin on top *)
-let write_access t ~ring f =
-  Phys_mem.with_origin t.hv.Hv.mem
-    (Provenance.Guest_write t.domain.Domain.id)
-    (fun () -> access t ~ring f)
-
-let trace_mem t op va ~len ~data =
-  trace_boundary t (fun () ->
-      Trace.Guest_mem { domid = t.domain.Domain.id; op; va; len; data })
+   underneath installs its own (more specific) origin on top. Detached
+   provenance needs no origin, and gets no closure. *)
+let write_u64_as t ~ring va v =
+  match Phys_mem.provenance t.hv.Hv.mem with
+  | None -> cpu_write_u64 t ~ring va v
+  | Some p ->
+      Provenance.with_origin p (Provenance.Guest_write t.domain.Domain.id) (fun () ->
+          cpu_write_u64 t ~ring va v)
 
 let read_u64 t va =
-  trace_mem t Trace.Op_read_u64 va ~len:8 ~data:"";
-  access t ~ring:Cpu.Kernel (fun ~ring ~cr3 -> Cpu.read_u64 t.hv.Hv.cpu ~ring ~cr3 va)
+  if at_boundary t then trace_mem t Trace.Op_read_u64 va ~len:8 ~data:"";
+  cpu_read_u64 t ~ring:Cpu.Kernel va
 
 let write_u64 t va v =
-  (if Trace.recording t.hv.Hv.trace then
-     let data = Bytes.create 8 in
-     Bytes.set_int64_le data 0 v;
-     trace_mem t Trace.Op_write_u64 va ~len:8 ~data:(Bytes.unsafe_to_string data));
-  write_access t ~ring:Cpu.Kernel (fun ~ring ~cr3 -> Cpu.write_u64 t.hv.Hv.cpu ~ring ~cr3 va v)
+  if at_boundary t then trace_mem t Trace.Op_write_u64 va ~len:8 ~data:(u64_data v);
+  write_u64_as t ~ring:Cpu.Kernel va v
 
 let read_bytes t va len =
-  trace_mem t Trace.Op_read_bytes va ~len ~data:"";
-  access t ~ring:Cpu.Kernel (fun ~ring ~cr3 -> Cpu.read_bytes t.hv.Hv.cpu ~ring ~cr3 va len)
+  if at_boundary t then trace_mem t Trace.Op_read_bytes va ~len ~data:"";
+  match Cpu.read_bytes t.hv.Hv.cpu ~ring:Cpu.Kernel ~cr3:t.domain.Domain.l4_mfn va len with
+  | Ok _ as ok -> ok
+  | Error fault -> guest_fault t fault
 
 let write_bytes t va b =
-  if Trace.recording t.hv.Hv.trace then
+  if at_boundary t then
     trace_mem t Trace.Op_write_bytes va ~len:(Bytes.length b) ~data:(Bytes.to_string b);
-  write_access t ~ring:Cpu.Kernel (fun ~ring ~cr3 -> Cpu.write_bytes t.hv.Hv.cpu ~ring ~cr3 va b)
+  match Phys_mem.provenance t.hv.Hv.mem with
+  | None -> cpu_write_bytes t va b
+  | Some p ->
+      Provenance.with_origin p (Provenance.Guest_write t.domain.Domain.id) (fun () ->
+          cpu_write_bytes t va b)
 
 (* MMUEXT_INVLPG_LOCAL: a PV kernel (or an exploit running in it) drops
    the cached translation of a page it just remapped by hand. *)
 let invlpg t va =
-  trace_boundary t (fun () -> Trace.Guest_invlpg { domid = t.domain.Domain.id; va });
+  if at_boundary t then
+    Trace.emit t.hv.Hv.trace (Trace.Guest_invlpg { domid = t.domain.Domain.id; va });
   Cpu.tlb_invlpg t.hv.Hv.cpu ~cr3:t.domain.Domain.l4_mfn va
 
 let user_write_u64 t va v =
-  (if Trace.recording t.hv.Hv.trace then
-     let data = Bytes.create 8 in
-     Bytes.set_int64_le data 0 v;
-     trace_mem t Trace.Op_user_write_u64 va ~len:8 ~data:(Bytes.unsafe_to_string data));
-  write_access t ~ring:Cpu.User (fun ~ring ~cr3 -> Cpu.write_u64 t.hv.Hv.cpu ~ring ~cr3 va v)
+  if at_boundary t then trace_mem t Trace.Op_user_write_u64 va ~len:8 ~data:(u64_data v);
+  write_u64_as t ~ring:Cpu.User va v
 
 let user_read_u64 t va =
-  trace_mem t Trace.Op_user_read_u64 va ~len:8 ~data:"";
-  access t ~ring:Cpu.User (fun ~ring ~cr3 -> Cpu.read_u64 t.hv.Hv.cpu ~ring ~cr3 va)
+  if at_boundary t then trace_mem t Trace.Op_user_read_u64 va ~len:8 ~data:"";
+  cpu_read_u64 t ~ring:Cpu.User va
 
 (* --- shell ------------------------------------------------------------ *)
 
@@ -281,7 +306,7 @@ let balloon t =
 
 let tick t =
   let tr = t.hv.Hv.trace in
-  trace_boundary t (fun () -> Trace.Kernel_tick { domid = t.domain.Domain.id });
+  if at_boundary t then Trace.emit tr (Trace.Kernel_tick { domid = t.domain.Domain.id });
   Trace.enter tr;
   Fun.protect ~finally:(fun () -> Trace.leave tr) @@ fun () ->
   if not (Hv.is_crashed t.hv) then begin

@@ -4,11 +4,12 @@ type fault = Ept_violation of gpa | Guest_not_present of int | Guest_protection
 
 (* The EPT is a normal 4-level table over the guest-physical space, so
    the machine walker applies verbatim (guest-physical plays the role
-   of the virtual address). *)
+   of the virtual address). Only the frame matters here, so this takes
+   the walker that builds no path. *)
 let ept_translate mem ~ept_root gpa =
-  match Paging.walk mem ~cr3:ept_root gpa with
-  | Ok tr -> Ok tr.Paging.t_maddr
-  | Error _ -> Error (Ept_violation gpa)
+  let c = Paging.walk_code mem ~cr3:ept_root gpa in
+  if Paging.Code.is_ok c then Ok (Int64.of_int (Paging.Code.page c + Addr.page_offset gpa))
+  else Error (Ept_violation gpa)
 
 let guest_index level va =
   match level with

@@ -51,14 +51,34 @@ val tlb_flush_all : t -> unit
 val tlb_invlpg : t -> cr3:Addr.mfn -> Addr.vaddr -> unit
 val tlb_stats : t -> Paging.Tlb.stats
 
-(** {1 Memory access} *)
+(** {1 Memory access}
+
+    Every access charges one [Guest_mem_op] and translates each page it
+    touches once (a TLB hit, or a miss and a walk). Translation works on
+    int machine addresses ({!Paging.resolve_cached}), so a guest-ring
+    access that hits the TLB allocates only its result: nothing for a
+    write, the [Ok] and the boxed value for a [read_u64]. A fault record
+    is built only when the access faults; its [fault_vaddr] is the
+    canonical address of the page that faulted. *)
 
 type 'a access_result = ('a, Paging.fault) result
 
 val read_u64 : t -> ring:ring -> cr3:Addr.mfn -> Addr.vaddr -> int64 access_result
+(** An access whose last byte lies on the next page translates both
+    pages (in address order) before reading: a fault on either page
+    fails the access. *)
+
 val write_u64 : t -> ring:ring -> cr3:Addr.mfn -> Addr.vaddr -> int64 -> unit access_result
+(** Like {!read_u64}; a page-straddling store translates both pages
+    first, so a fault on either leaves memory untouched. *)
+
 val read_bytes : t -> ring:ring -> cr3:Addr.mfn -> Addr.vaddr -> int -> bytes access_result
+(** Translates and copies page by page; a range crossing into a page
+    that faults fails the access. *)
+
 val write_bytes : t -> ring:ring -> cr3:Addr.mfn -> Addr.vaddr -> bytes -> unit access_result
+(** Translates and stores page by page: pages before a faulting one
+    have already been written. *)
 
 val resolve :
   t -> ring:ring -> cr3:Addr.mfn -> kind:Paging.access_kind -> Addr.vaddr ->

@@ -6,6 +6,14 @@
     exploits rely on. *)
 
 type t
+(** Held outside the OCaml heap (a [Bigarray]), so page contents do not
+    count towards, or inflate, the major heap. *)
+
+external unsafe_get_64 : t -> int -> int64 = "%caml_bigstring_get64u"
+(** Unchecked 64-bit load in host byte order at byte offset [off] — a
+    compiler primitive, so the value stays unboxed in the caller (the
+    page walker's entry reads). Frames are little-endian: on a
+    big-endian host the caller swaps. *)
 
 val create : unit -> t
 (** A zero-filled frame. *)
@@ -49,9 +57,8 @@ val blit_from_bytes : bytes -> int -> t -> int -> int -> unit
 (** [blit_from_bytes src spos t off len] copies into the frame (the bulk
     write path). *)
 
-val restore_image : t -> bytes -> unit
-(** Overwrite the whole frame from a page-sized image captured with
-    [to_bytes] (the O(dirty) reset path). *)
+val blit : src:t -> dst:t -> unit
+(** Copy a whole page (the O(dirty) reset path's pre-images). *)
 
 val find_string : t -> string -> int option
 (** Offset of the first occurrence of a byte pattern, if any. *)

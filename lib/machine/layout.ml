@@ -25,11 +25,15 @@ let directmap_end_slot = 271
 let guest_kernel_slot = 272
 let guest_kernel_base = Addr.l4_slot_base guest_kernel_slot
 
+(* Decided on bits 0..47 alone (what canonicalisation keeps), as ints:
+   every guest memory access asks, so this must not box. *)
 let region_of_vaddr va =
-  let va = Addr.canonical va in
-  let slot = Addr.l4_index va in
-  if Int64.logand va 0x8000_0000_0000L = 0L then Guest_low
-  else if slot = m2p_slot then if va < linear_pt_base then M2p else Linear_pt
+  let v = Int64.to_int va in
+  let slot = (v lsr 39) land 0x1ff in
+  if v land 0x8000_0000_0000 = 0 then Guest_low
+  else if slot = m2p_slot then
+    (* linear_pt_base is L3 index 256 of the M2P slot *)
+    if (v lsr 30) land 0x1ff < 256 then M2p else Linear_pt
   else if slot >= 257 && slot <= 259 then Xen_extra
   else if slot >= 260 && slot <= 261 then Xen_private
   else if slot >= directmap_slot && slot <= directmap_end_slot then Direct_map

@@ -63,6 +63,46 @@ val translate :
 val pp_fault : Format.formatter -> fault -> unit
 val pp_fault_reason : Format.formatter -> fault_reason -> unit
 
+(** {1 The allocation-free walker}
+
+    {!walk} conses a {!step} per level and boxes every entry. Callers
+    that need only the machine address use {!walk_code}: it reads the
+    same entries, calls {!Phys_mem.observe} for the same bytes in the
+    same order (so provenance graphs do not move), and packs the
+    outcome into one immediate int, a {e walk code}, read with {!Code}.
+    It allocates nothing. The TLB's miss path and the KVM EPT walk
+    ([Nested.ept_translate]) use it; {!walk} and {!walk_path}, which
+    build the path, stay the reference. *)
+
+val walk_code : Phys_mem.t -> cr3:Addr.mfn -> Addr.vaddr -> int
+(** [walk mem ~cr3 va], encoded: on success the frame and permission
+    bits of the result, on a fault the same [Not_present level] or
+    [Bad_physical mfn] (a superpage's included) — and, either way, the
+    number of levels read, which is the length of {!walk_path}. *)
+
+module Code : sig
+  (** Reading a walk code. A success is the page-aligned machine address
+      of the translated 4 KiB page (inside a superpage, the page [va]
+      falls in) OR'd with four permission bits; a fault is negative. *)
+
+  val is_ok : int -> bool
+
+  val page : int -> int
+  (** Machine address of the translated page (success only). *)
+
+  val writable : int -> bool
+  val user : int -> bool
+  val executable : int -> bool
+  val superpage : int -> bool
+
+  val steps : int -> int
+  (** Levels the walk read (= [List.length (walk_path mem ~cr3 va)]). *)
+
+  val fault_reason : int -> fault_reason
+  (** The fault behind a negative code (from {!walk_code} or
+      {!resolve_cached}). *)
+end
+
 (** {1 Software TLB}
 
     A walk cache keyed by [(cr3, virtual page number)], mirroring what
@@ -71,7 +111,15 @@ val pp_fault_reason : Format.formatter -> fault_reason -> unit
     auto-invalidates when {!Phys_mem.generation} moves, i.e. when frames
     are recycled), while a PTE rewritten {e without} the architectural
     invalidation ([invlpg] / CR3 reload) keeps serving the stale
-    translation — real XSA exploits interact with exactly that window. *)
+    translation — real XSA exploits interact with exactly that window.
+
+    The key packs [cr3] above bits 12..47 of the canonical address into
+    one int, so [cr3] must be below 2{^26} (far above any installed
+    frame count); caching a translation under a larger [cr3] raises
+    [Invalid_argument]. Entries live in an open-addressing int table
+    that starts empty and grows on demand, so {!Tlb.create} allocates
+    only a small record. A hit allocates nothing; a miss allocates
+    nothing beyond the table's own growth. *)
 
 module Tlb : sig
   type t
@@ -80,7 +128,8 @@ module Tlb : sig
 
   val create : ?capacity:int -> unit -> t
   (** Default capacity 4096 cached pages; on overflow the whole cache is
-      flushed (a coarse but faithful capacity eviction). *)
+      flushed before the new page is inserted (a coarse but faithful
+      capacity eviction). *)
 
   val set_tracer : t -> Trace.t -> unit
   (** Report flushes and invlpgs to a tracer (counters always, ring
@@ -103,7 +152,10 @@ end
 
 val walk_cached :
   Tlb.t -> Phys_mem.t -> cr3:Addr.mfn -> Addr.vaddr -> (translation, fault_reason) result
-(** {!walk} through the cache. Faults are never cached. *)
+(** {!walk} through the cache. Faults are never cached. A hit charges
+    [Tlb_hit]; a miss charges [Tlb_miss] and then one [Page_walk_step]
+    per level read. A hit returns the path the filling walk read, so a
+    stale entry reports its stale path. *)
 
 val translate_cached :
   Tlb.t ->
@@ -115,3 +167,10 @@ val translate_cached :
   (translation, fault) result
 (** {!translate} through the cache. Permission checks always rerun on
     the cached bits, so a hit faults exactly when a fresh walk would. *)
+
+val resolve_cached :
+  Tlb.t -> Phys_mem.t -> cr3:Addr.mfn -> kind:access_kind -> user:bool -> Addr.vaddr -> int
+(** The CPU's hot path: {!translate_cached} for a canonical address,
+    returning only the machine address as an int (>= 0), or a negative
+    code for {!Code.fault_reason}. Same lookups, charges and
+    permission order; a TLB hit allocates nothing. *)

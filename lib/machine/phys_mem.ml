@@ -12,16 +12,16 @@ type baseline = {
      the first write to each frame; [no_image] means the frame was a
      scrubbed (all-zero) frame at capture time, so no bytes need
      storing *)
-  b_img : bytes array;
+  b_img : Frame.t array;
   b_owner : owner array;
   b_free_count : int;
-  mutable b_spare : bytes list;
+  mutable b_spare : Frame.t list;
       (* page-sized pre-image buffers handed back by [reset_to_baseline];
          the next trial's [mark_dirty] blits into them instead of
-         allocating 4 KiB on the major heap per dirtied frame *)
+         allocating a fresh page per dirtied frame *)
 }
 
-let no_image = Bytes.empty
+let no_image = Frame.create ()
 
 let new_baseline ~frames ~free_count ~spare =
   {
@@ -137,9 +137,9 @@ let mark_dirty t mfn =
             | buf :: rest ->
                 b.b_spare <- rest;
                 buf
-            | [] -> Bytes.create Addr.page_size
+            | [] -> Frame.create ()
           in
-          Frame.blit_to_bytes t.frames.(mfn) 0 buf 0 Addr.page_size;
+          Frame.blit ~src:t.frames.(mfn) ~dst:buf;
           b.b_img.(mfn) <- buf
         end;
         b.b_owner.(mfn) <- t.owners.(mfn)
@@ -216,7 +216,7 @@ let reset_to_baseline t =
                skip the 4 KiB restore — and never write into the shared
                frame *)
             if Bytes.unsafe_get t.cow mfn = '\000' then begin
-              Frame.restore_image t.frames.(mfn) img;
+              Frame.blit ~src:img ~dst:t.frames.(mfn);
               Bytes.unsafe_set t.scrubbed mfn '\000'
             end;
             b.b_img.(mfn) <- no_image;
@@ -392,52 +392,70 @@ let write_u8 t ma v =
   Frame.set_u8 t.frames.(mfn) off v;
   match t.prov with None -> () | Some p -> Provenance.taint p ~mfn ~off ~len:1
 
+(* --- int-addressed access ----------------------------------------------
+   The CPU's hot path translates to an int machine address (RAM ends far
+   below 2^62), so the 64-bit and bulk accessors take the address
+   unboxed; the [int64] entry points check that it lies in RAM (so it
+   converts exactly) and delegate. *)
+
+let bad_maddr ma = raise (Bad_maddr (Int64.of_int ma))
+
+let in_ram t ma =
+  if ma < 0L || ma >= Int64.of_int (total_frames t * Addr.page_size) then raise (Bad_maddr ma);
+  Int64.to_int ma
+
 (* 64-bit accesses are required to be contained in one frame, as natural
    alignment guarantees on real hardware. *)
-let read_u64 t ma =
-  let mfn, off = split t ma 8 in
-  Frame.get_u64 t.frames.(mfn) off
+let check_u64 t ma =
+  if ma < 0 || ma lsr Addr.page_shift >= total_frames t
+     || ma land (Addr.page_size - 1) > Addr.page_size - 8
+  then bad_maddr ma
 
-let write_u64 t ma v =
-  let mfn, off = split t ma 8 in
+let read_u64_at t ma =
+  check_u64 t ma;
+  Frame.get_u64 t.frames.(ma lsr Addr.page_shift) (ma land (Addr.page_size - 1))
+
+let write_u64_at t ma v =
+  check_u64 t ma;
+  let mfn = ma lsr Addr.page_shift and off = ma land (Addr.page_size - 1) in
   mark_written t mfn;
   Frame.set_u64 t.frames.(mfn) off v;
   match t.prov with None -> () | Some p -> Provenance.taint p ~mfn ~off ~len:8
+
+let read_u64 t ma = read_u64_at t (in_ram t ma)
+let write_u64 t ma v = write_u64_at t (in_ram t ma) v
 
 (* --- bulk transfers ---------------------------------------------------
    Blit frame-sized chunks instead of going byte by byte; a range that
    runs off the end of memory raises [Bad_maddr] at the first invalid
    frame boundary, exactly where the per-byte loop used to stop. *)
 
-let read_into t ma buf pos len =
-  let rec go ma pos len =
-    if len > 0 then begin
-      let mfn = Addr.mfn_of_maddr ma in
-      if not (is_valid_mfn t mfn) then raise (Bad_maddr ma);
-      let off = Addr.page_offset ma in
-      let chunk = min len (Addr.page_size - off) in
-      Frame.blit_to_bytes t.frames.(mfn) off buf pos chunk;
-      go (Int64.add ma (Int64.of_int chunk)) (pos + chunk) (len - chunk)
-    end
-  in
-  go ma pos len
+let rec read_into_at t ma buf pos len =
+  if len > 0 then begin
+    let mfn = ma lsr Addr.page_shift in
+    if ma < 0 || mfn >= total_frames t then bad_maddr ma;
+    let off = ma land (Addr.page_size - 1) in
+    let chunk = min len (Addr.page_size - off) in
+    Frame.blit_to_bytes t.frames.(mfn) off buf pos chunk;
+    read_into_at t (ma + chunk) buf (pos + chunk) (len - chunk)
+  end
 
-let write_from t ma buf pos len =
-  let rec go ma pos len =
-    if len > 0 then begin
-      let mfn = Addr.mfn_of_maddr ma in
-      if not (is_valid_mfn t mfn) then raise (Bad_maddr ma);
-      let off = Addr.page_offset ma in
-      let chunk = min len (Addr.page_size - off) in
-      mark_written t mfn;
-      Frame.blit_from_bytes buf pos t.frames.(mfn) off chunk;
-      (match t.prov with
-      | None -> ()
-      | Some p -> Provenance.taint p ~mfn ~off ~len:chunk);
-      go (Int64.add ma (Int64.of_int chunk)) (pos + chunk) (len - chunk)
-    end
-  in
-  go ma pos len
+let rec write_from_at t ma buf pos len =
+  if len > 0 then begin
+    let mfn = ma lsr Addr.page_shift in
+    if ma < 0 || mfn >= total_frames t then bad_maddr ma;
+    let off = ma land (Addr.page_size - 1) in
+    let chunk = min len (Addr.page_size - off) in
+    mark_written t mfn;
+    Frame.blit_from_bytes buf pos t.frames.(mfn) off chunk;
+    (match t.prov with
+    | None -> ()
+    | Some p -> Provenance.taint p ~mfn ~off ~len:chunk);
+    write_from_at t (ma + chunk) buf (pos + chunk) (len - chunk)
+  end
+
+let read_into t ma buf pos len = if len > 0 then read_into_at t (in_ram t ma) buf pos len
+let write_from t ma buf pos len = if len > 0 then write_from_at t (in_ram t ma) buf pos len
 
 let read_bytes t ma len =
   let buf = Bytes.create len in

@@ -146,6 +146,18 @@ val read_into : t -> Addr.maddr -> bytes -> int -> int -> unit
 val write_from : t -> Addr.maddr -> bytes -> int -> int -> unit
 (** [write_from t ma buf pos len]: the bulk store counterpart. *)
 
+(** {2 Int-addressed access}
+
+    The same loads and stores with the machine address as an immediate
+    [int] (RAM ends far below 2{^62}), so the CPU's translate-then-copy
+    path boxes nothing. Out-of-RAM addresses raise [Bad_maddr] exactly
+    like the [int64] forms. *)
+
+val read_u64_at : t -> int -> int64
+val write_u64_at : t -> int -> int64 -> unit
+val read_into_at : t -> int -> bytes -> int -> int -> unit
+val write_from_at : t -> int -> bytes -> int -> int -> unit
+
 (** {1 Provenance}
 
     An optional byte-granular taint shadow (see {!Provenance}). When

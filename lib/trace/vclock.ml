@@ -172,17 +172,27 @@ let cost (m : Cost_model.t) = function
   | Evtchn_send -> m.Cost_model.evtchn_send
   | Dm_io -> m.Cost_model.dm_io
 
-type t = { mutable now : int64; mutable model : Cost_model.t; mutable attached : bool }
+(* The counter lives in an 8-byte buffer rather than a mutable [int64]
+   field: storing into the field would box a fresh [int64] on every
+   charge, while [Bytes.get/set_int64_le] keep the addition unboxed.
+   The arithmetic is the same wrapping 64-bit sum either way. *)
+type t = { now : Bytes.t; mutable model : Cost_model.t; mutable attached : bool }
 
-let create ?(model = Cost_model.default) () = { now = 0L; model; attached = true }
-let now t = t.now
-let set t ns = t.now <- ns
+let create ?(model = Cost_model.default) () =
+  { now = Bytes.make 8 '\000'; model; attached = true }
+
+let now t = Bytes.get_int64_le t.now 0
+let set t ns = Bytes.set_int64_le t.now 0 ns
 let attached t = t.attached
 let set_attached t on = t.attached <- on
 let model t = t.model
 let set_model t m = t.model <- m
-let charge t op = if t.attached then t.now <- Int64.add t.now (cost t.model op)
+
+let charge t op =
+  if t.attached then
+    Bytes.set_int64_le t.now 0 (Int64.add (Bytes.get_int64_le t.now 0) (cost t.model op))
 
 let charge_n t op n =
   if t.attached && n > 0 then
-    t.now <- Int64.add t.now (Int64.mul (Int64.of_int n) (cost t.model op))
+    Bytes.set_int64_le t.now 0
+      (Int64.add (Bytes.get_int64_le t.now 0) (Int64.mul (Int64.of_int n) (cost t.model op)))

@@ -111,7 +111,11 @@ val model : t -> Cost_model.t
 val set_model : t -> Cost_model.t -> unit
 
 val charge : t -> op -> unit
-(** Advance by the model's cost for [op] (no-op when detached). *)
+(** Advance by the model's cost for [op] (no-op when detached). The
+    sum wraps like [Int64.add]. Allocates nothing: every guest memory
+    access charges two to four times, so the counter is kept unboxed
+    ({!now} boxes only when read). *)
 
 val charge_n : t -> op -> int -> unit
-(** Advance by [n] times the cost for [op]. *)
+(** Advance by [n] times the cost for [op] ([Int64.mul], then
+    [Int64.add], both wrapping). Allocates nothing. *)

@@ -494,6 +494,53 @@ let test_cpu_bytes_cross_page () =
   | Ok b -> Alcotest.(check string) "cross-page" "XYZW12" (Bytes.to_string b)
   | Error _ -> Alcotest.fail "cross-page read"
 
+(* An 8-byte access straddling a page boundary translates both pages,
+   one TLB lookup each, under one Guest_mem_op charge; a fault on the
+   second page leaves memory untouched. *)
+let test_cpu_u64_cross_page () =
+  let m = Phys_mem.create ~frames:32 in
+  let tr = Ii_trace.Trace.create () in
+  let cpu = Cpu.create ~tracer:tr m ~hardened:false in
+  let alloc () = Phys_mem.alloc m Phys_mem.Xen in
+  let l4 = alloc () and l3 = alloc () and l2 = alloc () and l1 = alloc () in
+  let data = alloc () and data2 = alloc () in
+  let inter t = Pte.make ~mfn:t ~flags:[ Pte.Present; Pte.Rw; Pte.User ] in
+  Frame.set_entry (Phys_mem.frame m l4) (Addr.l4_index Layout.guest_kernel_base) (inter l3);
+  Frame.set_entry (Phys_mem.frame m l3) 0 (inter l2);
+  Frame.set_entry (Phys_mem.frame m l2) 0 (inter l1);
+  Frame.set_entry (Phys_mem.frame m l1) 0 (inter data);
+  Frame.set_entry (Phys_mem.frame m l1) 1 (inter data2);
+  let addr = Int64.add Layout.guest_kernel_base (Int64.of_int (Addr.page_size - 4)) in
+  let v = 0x1122334455667788L in
+  let vts0 = Ii_trace.Trace.vts tr in
+  (match Cpu.write_u64 cpu ~ring:Cpu.Kernel ~cr3:l4 addr v with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "straddling write");
+  let m_ = Ii_trace.Vclock.Cost_model.default in
+  check_i64 "one mem op, two misses, eight walk steps"
+    Int64.(add m_.guest_mem_op (add (mul 2L m_.tlb_miss) (mul 8L m_.page_walk_step)))
+    (Int64.sub (Ii_trace.Trace.vts tr) vts0);
+  check_i64 "low half in the first page" 0x55667788L
+    (Int64.of_int32 (Bytes.get_int32_le (Frame.read_bytes (Phys_mem.frame_ro m data) 4092 4) 0));
+  check_i64 "high half in the second page" 0x11223344L
+    (Int64.of_int32 (Bytes.get_int32_le (Frame.read_bytes (Phys_mem.frame_ro m data2) 0 4) 0));
+  (match Cpu.read_u64 cpu ~ring:Cpu.Kernel ~cr3:l4 addr with
+  | Ok r -> check_i64 "read back" v r
+  | Error _ -> Alcotest.fail "straddling read");
+  let st = Cpu.tlb_stats cpu in
+  check_int "two misses" 2 st.Paging.Tlb.misses;
+  check_int "two hits" 2 st.Paging.Tlb.hits;
+  (* unmap the second page: the store faults there and writes nothing *)
+  let page2 = Int64.add Layout.guest_kernel_base (Int64.of_int Addr.page_size) in
+  Frame.set_entry (Phys_mem.frame m l1) 1 Pte.none;
+  Cpu.tlb_invlpg cpu ~cr3:l4 page2;
+  (match Cpu.write_u64 cpu ~ring:Cpu.Kernel ~cr3:l4 addr 0L with
+  | Error { Paging.reason = Paging.Not_present 1; fault_vaddr; _ } ->
+      check_i64 "fault names the second page" page2 fault_vaddr
+  | _ -> Alcotest.fail "expected a not-present fault on the second page");
+  check_i64 "first page untouched" 0x55667788L
+    (Int64.of_int32 (Bytes.get_int32_le (Frame.read_bytes (Phys_mem.frame_ro m data) 4092 4) 0))
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -571,5 +618,6 @@ let () =
           Alcotest.test_case "exception delivery" `Quick test_cpu_exception_delivery;
           Alcotest.test_case "sidt" `Quick test_cpu_sidt;
           Alcotest.test_case "bytes cross page" `Quick test_cpu_bytes_cross_page;
+          Alcotest.test_case "u64 cross page" `Quick test_cpu_u64_cross_page;
         ] );
     ]

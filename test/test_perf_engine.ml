@@ -10,6 +10,7 @@ open Ii_guest
 open Ii_core
 open Ii_scenario
 open Ii_vmi
+open Ii_trace
 module All = Ii_exploits.All_exploits
 
 let check_int = Alcotest.(check int)
@@ -100,6 +101,429 @@ let test_tlb_survives_reset () =
       check_bool "post-reset agreement" true
         (Paging.walk_cached tlb mem ~cr3:cr3' va = Paging.walk mem ~cr3:cr3' va))
     vas
+
+(* --- The allocation-free walker and the int-keyed TLB ----------------------- *)
+
+(* Random page-table entries over a small memory: present or not, every
+   RW/US/NX/PSE mix, noise in the ignored bits 52..62, and frames inside
+   RAM, just past it, and in a far 512-group (a PSE base past RAM). *)
+let small_frames = 24
+
+let entry_gen =
+  let open QCheck.Gen in
+  let* present = frequency [ (5, return true); (1, return false) ] in
+  let* rw = bool and* us = bool in
+  let* nx = frequency [ (1, return true); (3, return false) ] in
+  let* pse = frequency [ (1, return true); (3, return false) ] in
+  let* mfn =
+    frequency
+      [
+        (8, int_bound (small_frames - 1));
+        (1, int_range small_frames (small_frames + 3));
+        (1, int_range 500 1100);
+      ]
+  in
+  let* noise = int_bound 0x7ff in
+  let flags =
+    List.concat
+      [
+        (if present then [ Pte.Present ] else []);
+        (if rw then [ Pte.Rw ] else []);
+        (if us then [ Pte.User ] else []);
+        (if nx then [ Pte.Nx ] else []);
+        (if pse then [ Pte.Pse ] else []);
+      ]
+  in
+  return (Int64.logor (Pte.make ~mfn ~flags) (Int64.shift_left (Int64.of_int noise) 52))
+
+(* addresses built from the few indices the tables populate, in both
+   halves, sometimes with non-canonical top bits *)
+let va_gen =
+  let open QCheck.Gen in
+  let* l4 = oneofl [ 0; 1; 272; 511 ] in
+  let* l3 = oneofl [ 0; 1; 2 ] and* l2 = oneofl [ 0; 1; 2 ] in
+  let* l1 = oneofl [ 0; 1; 2; 3; 30 ] and* off = int_bound 511 in
+  let* junk = frequency [ (4, return 0); (1, int_range 1 0xffff) ] in
+  let va = Addr.of_indices ~l4 ~l3 ~l2 ~l1 ~offset:(8 * off) in
+  return (Int64.logxor va (Int64.shift_left (Int64.of_int junk) 48))
+
+let table_write_gen =
+  QCheck.Gen.(triple (int_bound (small_frames - 1)) (oneofl [ 0; 1; 2; 3; 30; 272; 511 ]) entry_gen)
+
+let write_entry mem (mfn, index, e) = Frame.set_entry (Phys_mem.frame mem mfn) index e
+
+(* Lay a chain of four random entries along [va]'s walk from [cr3],
+   each stored where the previous one points (when that frame exists),
+   so random tables still translate often enough to matter. *)
+let write_chain mem ~cr3 va entries =
+  ignore
+    (List.fold_left
+       (fun (level, table) e ->
+         if Phys_mem.is_valid_mfn mem table then
+           write_entry mem (table, [| 0; Addr.l1_index va; Addr.l2_index va; Addr.l3_index va; Addr.l4_index va |].(level), e);
+         (level - 1, Pte.mfn e))
+       (4, cr3) entries)
+
+(* the walker against the reference walk: frame, permission bits, fault
+   reason and the number of levels read *)
+let walker_agrees mem ~cr3 va =
+  let c = Paging.walk_code mem ~cr3 va in
+  Paging.Code.steps c = List.length (Paging.walk_path mem ~cr3 va)
+  &&
+  match Paging.walk mem ~cr3 va with
+  | Ok tr ->
+      Paging.Code.is_ok c
+      && Int64.of_int (Paging.Code.page c + Addr.page_offset va) = tr.Paging.t_maddr
+      && Paging.Code.writable c = tr.Paging.writable
+      && Paging.Code.user c = tr.Paging.user
+      && Paging.Code.executable c = tr.Paging.executable
+      && Paging.Code.superpage c = tr.Paging.superpage
+  | Error reason -> (not (Paging.Code.is_ok c)) && Paging.Code.fault_reason c = reason
+
+let prop_walker_matches_reference =
+  QCheck.Test.make ~name:"tlb: allocation-free walker = reference walk" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          triple (int_bound (small_frames + 1))
+            (list_size (int_range 1 8) (pair va_gen (list_repeat 4 entry_gen)))
+            (list_size (int_range 0 20) table_write_gen)))
+    (fun (cr3, chains, writes) ->
+      let mem = Phys_mem.create ~frames:small_frames in
+      List.iter (fun (va, entries) -> write_chain mem ~cr3 va entries) chains;
+      List.iter (write_entry mem) writes;
+      List.for_all (fun (va, _) -> walker_agrees mem ~cr3 va) chains)
+
+(* A test-local copy of the previous TLB: a polymorphic [Hashtbl] keyed
+   by the [(cr3, vpn)] tuple, the reference walk on a miss, the same
+   capacity flush, counters, charges and ring records. The int-keyed
+   TLB must be indistinguishable from it. *)
+module Ref_tlb = struct
+  type cached = {
+    page : Addr.maddr;
+    writable : bool;
+    user : bool;
+    executable : bool;
+    superpage : bool;
+    path : Paging.step list;
+    gen : int;
+  }
+
+  type t = {
+    entries : (Addr.mfn * int, cached) Hashtbl.t;
+    capacity : int;
+    tr : Trace.t;
+    mutable hits : int;
+    mutable misses : int;
+    mutable flushes : int;
+    mutable invlpgs : int;
+  }
+
+  let create ~capacity tr =
+    { entries = Hashtbl.create 256; capacity; tr; hits = 0; misses = 0; flushes = 0; invlpgs = 0 }
+
+  let vpn va = Int64.to_int (Int64.shift_right_logical (Addr.canonical va) Addr.page_shift)
+
+  let flush_all t =
+    if Hashtbl.length t.entries > 0 then Hashtbl.reset t.entries;
+    t.flushes <- t.flushes + 1;
+    Trace.note_flush t.tr;
+    if Trace.recording t.tr then Trace.emit t.tr Trace.Tlb_flush_all
+
+  let invlpg t ~cr3 va =
+    Hashtbl.remove t.entries (cr3, vpn va);
+    t.invlpgs <- t.invlpgs + 1;
+    Trace.note_invlpg t.tr;
+    if Trace.recording t.tr then Trace.emit t.tr (Trace.Tlb_invlpg { va })
+
+  let stats t =
+    { Paging.Tlb.hits = t.hits; misses = t.misses; flushes = t.flushes; invlpgs = t.invlpgs }
+
+  let walk_cached t mem ~cr3 va =
+    let va = Addr.canonical va in
+    let key = (cr3, vpn va) in
+    let gen = Phys_mem.generation mem in
+    match Hashtbl.find_opt t.entries key with
+    | Some c when c.gen = gen ->
+        t.hits <- t.hits + 1;
+        Trace.charge t.tr Vclock.Tlb_hit;
+        Ok
+          {
+            Paging.t_maddr = Int64.add c.page (Int64.of_int (Addr.page_offset va));
+            writable = c.writable;
+            user = c.user;
+            executable = c.executable;
+            superpage = c.superpage;
+            path = c.path;
+          }
+    | Some _ | None -> (
+        t.misses <- t.misses + 1;
+        Trace.charge t.tr Vclock.Tlb_miss;
+        let path = Paging.walk_path mem ~cr3 va in
+        Trace.charge_n t.tr Vclock.Page_walk_step (List.length path);
+        match Paging.walk mem ~cr3 va with
+        | Error _ as e -> e
+        | Ok tr ->
+            if Hashtbl.length t.entries >= t.capacity then flush_all t;
+            Hashtbl.replace t.entries key
+              {
+                page = Int64.sub tr.Paging.t_maddr (Int64.of_int (Addr.page_offset va));
+                writable = tr.Paging.writable;
+                user = tr.Paging.user;
+                executable = tr.Paging.executable;
+                superpage = tr.Paging.superpage;
+                path = tr.Paging.path;
+                gen;
+              };
+            Ok tr)
+
+  let translate_cached t mem ~cr3 ~kind ~user va =
+    let fault reason = Error { Paging.fault_vaddr = va; fault_kind = kind; reason } in
+    if not (Addr.is_canonical va) then fault Paging.Non_canonical
+    else
+      match walk_cached t mem ~cr3 va with
+      | Error reason -> fault reason
+      | Ok tr ->
+          if user && not tr.Paging.user then fault Paging.User_access_to_supervisor
+          else if kind = Paging.Write && not tr.Paging.writable then fault Paging.Write_to_readonly
+          else if kind = Paging.Exec && not tr.Paging.executable then fault Paging.Nx_violation
+          else Ok tr
+
+  (* the previous [Layout.region_of_vaddr], on the canonical address *)
+  let region va =
+    let va = Addr.canonical va in
+    let slot = Addr.l4_index va in
+    if Int64.logand va 0x8000_0000_0000L = 0L then Layout.Guest_low
+    else if slot = Layout.m2p_slot then
+      if va < Layout.linear_pt_base then Layout.M2p else Layout.Linear_pt
+    else if slot >= 257 && slot <= 259 then Layout.Xen_extra
+    else if slot >= 260 && slot <= 261 then Layout.Xen_private
+    else if slot >= 262 && slot <= 271 (* the direct map *) then
+      Layout.Direct_map
+    else Layout.Guest_kernel
+
+  (* the previous [Cpu] access path for a guest ring (hardened = false):
+     [read_u64]/[write_u64], or [resolve] (no data, no charge) for Exec *)
+  let cpu_access t mem ~cr3 ~kind ~user va value =
+    if kind <> Paging.Exec then Trace.charge t.tr Vclock.Guest_mem_op;
+    let va = Addr.canonical va in
+    let denied =
+      match (region va, kind) with
+      | (Layout.Guest_low | Layout.Guest_kernel | Layout.Linear_pt | Layout.Xen_extra), _ -> false
+      | Layout.M2p, (Paging.Read | Paging.Exec) -> false
+      | Layout.M2p, Paging.Write | (Layout.Xen_private | Layout.Direct_map), _ -> true
+    in
+    if denied then
+      Error { Paging.fault_vaddr = va; fault_kind = kind; reason = Paging.Layout_denied (region va) }
+    else
+      match translate_cached t mem ~cr3 ~kind ~user va with
+      | Error f -> Error f
+      | Ok tr -> (
+          match kind with
+          | Paging.Read -> Ok (Phys_mem.read_u64 mem tr.Paging.t_maddr)
+          | Paging.Write ->
+              Phys_mem.write_u64 mem tr.Paging.t_maddr value;
+              Ok 0L
+          | Paging.Exec -> Ok tr.Paging.t_maddr)
+end
+
+(* addresses are indices into a small per-case pool, so pages recur
+   and the TLB hits *)
+type tlb_op =
+  | Access of { cr3 : int; va : int; kind : Paging.access_kind; user : bool; api : int }
+  | Invlpg of int * int
+  | Flush
+  | Rewrite of (int * int * int64)  (* raw PTE store, no invlpg *)
+  | Free of int  (* recycles a frame: a generation bump *)
+
+(* raw PTE stores, mostly into [model_memory]'s table frames 1..6, so
+   cached walks go stale *)
+let model_write_gen =
+  let open QCheck.Gen in
+  triple
+    (frequency [ (4, int_range 1 6); (1, int_bound (small_frames - 1)) ])
+    (oneofl [ 0; 1; 2; 3; 272; 511 ])
+    entry_gen
+
+(* mostly pages [model_memory] maps, in either address space *)
+let pool_va_gen =
+  let open QCheck.Gen in
+  let mapped =
+    let* l4 = oneofl [ 0; 0; 272; 511 ] and* l3 = oneofl [ 0; 1 ] and* l2 = oneofl [ 0; 1; 2 ] in
+    let* l1 = int_bound 3 and* off = int_bound 511 in
+    return (Addr.of_indices ~l4 ~l3 ~l2 ~l1 ~offset:(8 * off))
+  in
+  frequency [ (4, mapped); (1, va_gen) ]
+
+let tlb_op_gen =
+  let open QCheck.Gen in
+  let cr3 = oneofl [ 1; 2 ] and va = int_bound 5 in
+  frequency
+    [
+      ( 10,
+        let* cr3 = cr3 and* va = va in
+        let* kind = oneofl Paging.[ Read; Read; Write; Exec ] in
+        let* user = bool and* api = int_bound 2 in
+        return (Access { cr3; va; kind; user; api }) );
+      (2, map2 (fun c va -> Invlpg (c, va)) cr3 va);
+      (1, return Flush);
+      (3, map (fun w -> Rewrite w) model_write_gen);
+      (2, map (fun m -> Free m) (int_range 8 15));
+    ]
+
+let tlb_op_print = function
+  | Access { cr3; va; kind; user; api } ->
+      Printf.sprintf "access cr3=%d va#%d %s user=%b api=%d" cr3 va
+        (match kind with Paging.Read -> "r" | Paging.Write -> "w" | Paging.Exec -> "x")
+        user api
+  | Invlpg (c, va) -> Printf.sprintf "invlpg cr3=%d va#%d" c va
+  | Flush -> "flush"
+  | Rewrite (m, i, e) -> Printf.sprintf "rewrite %d[%d] <- %Lx" m i e
+  | Free m -> Printf.sprintf "free %d" m
+
+(* Two address spaces (cr3 1 and 2) over shared lower tables: both
+   halves, a read-only branch, a 2 MiB superpage and data pages 8..15. *)
+let model_memory () =
+  let mem = Phys_mem.create ~frames:small_frames in
+  let link ?(flags = [ Pte.Present; Pte.Rw; Pte.User ]) table index mfn =
+    write_entry mem (table, index, Pte.make ~mfn ~flags)
+  in
+  link 1 0 3;
+  link 1 272 3 ~flags:[ Pte.Present; Pte.Rw ];
+  link 2 0 3 ~flags:[ Pte.Present; Pte.User ];
+  link 2 511 3;
+  link 3 0 4;
+  link 3 1 4;
+  link 4 0 5;
+  link 4 1 6 ~flags:[ Pte.Present; Pte.User; Pte.Nx ];
+  link 4 2 0 ~flags:[ Pte.Present; Pte.Rw; Pte.User; Pte.Pse ];
+  List.iteri (fun i mfn -> link 5 i mfn) [ 8; 9; 10; 11 ];
+  List.iteri (fun i mfn -> link 6 i mfn ~flags:[ Pte.Present; Pte.Rw ]) [ 12; 13; 14; 15 ];
+  mem
+
+let traced () =
+  let tr = Trace.create () in
+  Trace.enable tr;
+  tr
+
+(* Drive the new TLB (capacity 3, through [walk_cached] /
+   [resolve_cached] / [translate_cached]) and a [Cpu] (default
+   capacity) side by side with the reference copies over identical
+   memories; every result, the counters, the sizes, the virtual clocks
+   and the ring bytes must agree. *)
+let prop_tlb_matches_reference =
+  QCheck.Test.make ~name:"tlb: int-keyed TLB and Cpu = reference TLB" ~count:500
+    (QCheck.make
+       ~print:(fun (pool, ops) ->
+         String.concat "; "
+           (List.map (Printf.sprintf "%Lx") (Array.to_list pool) @ List.map tlb_op_print ops))
+       ~shrink:QCheck.Shrink.(pair nil list)
+       QCheck.Gen.(pair (array_repeat 6 pool_va_gen) (list_size (int_range 1 80) tlb_op_gen)))
+    (fun (pool, ops) ->
+      let mem_t = model_memory () and mem_rt = model_memory () in
+      let mem_c = model_memory () and mem_rc = model_memory () in
+      let tr_t = traced () and tr_rt = traced () and tr_c = traced () and tr_rc = traced () in
+      let tlb = Paging.Tlb.create ~capacity:3 () in
+      Paging.Tlb.set_tracer tlb tr_t;
+      let ref_tlb = Ref_tlb.create ~capacity:3 tr_rt in
+      let cpu = Cpu.create ~tracer:tr_c mem_c ~hardened:false in
+      let ref_cpu = Ref_tlb.create ~capacity:4096 tr_rc in
+      let step op =
+        match op with
+        | Access { cr3; va; kind; user; api } ->
+            let va = pool.(va) in
+            let direct =
+              match api with
+              | 0 ->
+                  Paging.walk_cached tlb mem_t ~cr3 va = Ref_tlb.walk_cached ref_tlb mem_rt ~cr3 va
+              | 1 ->
+                  let va = Addr.canonical va in
+                  let c = Paging.resolve_cached tlb mem_t ~cr3 ~kind ~user va in
+                  let r = Ref_tlb.translate_cached ref_tlb mem_rt ~cr3 ~kind ~user va in
+                  (match r with
+                  | Ok tr -> Int64.of_int c = tr.Paging.t_maddr
+                  | Error f -> c < 0 && Paging.Code.fault_reason c = f.Paging.reason)
+              | _ ->
+                  Paging.translate_cached tlb mem_t ~cr3 ~kind ~user va
+                  = Ref_tlb.translate_cached ref_tlb mem_rt ~cr3 ~kind ~user va
+            in
+            let ring = if user then Cpu.User else Cpu.Kernel in
+            let value = Int64.add va 0x5a5aL in
+            let via_cpu =
+              match kind with
+              | Paging.Read -> Cpu.read_u64 cpu ~ring ~cr3 va
+              | Paging.Write ->
+                  Result.map (fun () -> 0L) (Cpu.write_u64 cpu ~ring ~cr3 va value)
+              | Paging.Exec -> Cpu.resolve cpu ~ring ~cr3 ~kind va
+            in
+            direct && via_cpu = Ref_tlb.cpu_access ref_cpu mem_rc ~cr3 ~kind ~user va value
+        | Invlpg (cr3, va) ->
+            let va = pool.(va) in
+            Paging.Tlb.invlpg tlb ~cr3 va;
+            Ref_tlb.invlpg ref_tlb ~cr3 va;
+            Cpu.tlb_invlpg cpu ~cr3 va;
+            Ref_tlb.invlpg ref_cpu ~cr3 va;
+            true
+        | Flush ->
+            Paging.Tlb.flush_all tlb;
+            Ref_tlb.flush_all ref_tlb;
+            Cpu.tlb_flush_all cpu;
+            Ref_tlb.flush_all ref_cpu;
+            true
+        | Rewrite w ->
+            List.iter (fun m -> write_entry m w) [ mem_t; mem_rt; mem_c; mem_rc ];
+            true
+        | Free mfn ->
+            List.iter (fun m -> Phys_mem.free m mfn) [ mem_t; mem_rt; mem_c; mem_rc ];
+            true
+      in
+      let agree () =
+        Paging.Tlb.stats tlb = Ref_tlb.stats ref_tlb
+        && Paging.Tlb.size tlb = Hashtbl.length ref_tlb.Ref_tlb.entries
+        && Cpu.tlb_stats cpu = Ref_tlb.stats ref_cpu
+        && Paging.Tlb.size (Cpu.tlb cpu) = Hashtbl.length ref_cpu.Ref_tlb.entries
+        && Trace.vts tr_t = Trace.vts tr_rt
+        && Trace.vts tr_c = Trace.vts tr_rc
+      in
+      List.for_all (fun op -> step op && agree ()) ops
+      && Trace.to_bytes tr_t = Trace.to_bytes tr_rt
+      && Trace.to_bytes tr_c = Trace.to_bytes tr_rc)
+
+(* --- Allocation budget ------------------------------------------------------ *)
+
+(* Minor words per call, averaged over [n] calls after one warm-up. The
+   GC counters are deterministic, so unlike a timing gate this sees a
+   reintroduced tuple key, translation record or closure on any host. *)
+let words_per_call ?(n = 10_000) f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_alloc_budget () =
+  let tb = Testbed.create_pooled Version.V4_6 in
+  let k = tb.Testbed.attacker in
+  let va = Domain.kernel_vaddr_of_pfn 5 in
+  let clock = Trace.vclock tb.Testbed.hv.Hv.trace in
+  check_bool "ring off" false (Trace.recording tb.Testbed.hv.Hv.trace);
+  check_bool "provenance detached" true (Phys_mem.provenance tb.Testbed.hv.Hv.mem = None);
+  let budget name limit f =
+    let w = words_per_call f in
+    if w > limit +. 0.01 then
+      Alcotest.failf "%s allocates %.2f words per call (budget %.0f)" name w limit
+  in
+  (* the [Ok] and the boxed [int64] result *)
+  budget "Kernel.read_u64 (TLB hit)" 5. (fun () -> ignore (Sys.opaque_identity (Kernel.read_u64 k va)));
+  budget "Kernel.write_u64 (TLB hit)" 2. (fun () ->
+      ignore (Sys.opaque_identity (Kernel.write_u64 k va 0x5a5aL)));
+  budget "Kernel.invlpg" 0. (fun () -> Kernel.invlpg k va);
+  budget "Vclock.charge" 0. (fun () -> Vclock.charge clock Vclock.Guest_mem_op);
+  (* a miss walks and fills without allocating: only the read's result *)
+  budget "Kernel.invlpg + Kernel.read_u64 (TLB miss)" 5. (fun () ->
+      Kernel.invlpg k va;
+      ignore (Sys.opaque_identity (Kernel.read_u64 k va)))
 
 (* --- Reset = create ------------------------------------------------------- *)
 
@@ -868,7 +1292,13 @@ let () =
           Alcotest.test_case "stale without invlpg" `Quick test_stale_tlb_without_invlpg;
           Alcotest.test_case "coherent across reset" `Quick test_tlb_survives_reset;
         ]
-        @ qsuite [ prop_tlb_transparent_under_invalidation ] );
+        @ qsuite
+            [
+              prop_tlb_transparent_under_invalidation;
+              prop_walker_matches_reference;
+              prop_tlb_matches_reference;
+            ] );
+      ("alloc_budget", [ Alcotest.test_case "guest memory access" `Quick test_alloc_budget ]);
       ( "reset",
         [
           Alcotest.test_case "campaign rows: reset = create" `Quick

@@ -384,6 +384,30 @@ let test_checker_gates () =
   let p = compile_str (minimal ~backend:"xen" ~body:"    r0 = kernel-l1 9999") in
   check_bool "env arg out of range rejected" true (Result.is_error (XV.check p))
 
+(* --- regressions --------------------------------------------------------------- *)
+
+(* checked programs that once made the simulator raise; each must run in
+   both modes and replay byte-identically *)
+let regression_dir = if Sys.file_exists "scn" then "scn" else "test/scn"
+
+let test_misaligned_u64 () =
+  let p =
+    match Scn_loader.load_file (Filename.concat regression_dir "misaligned_u64.scn") with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "misaligned_u64.scn: %s" e
+  in
+  check_bool "checker admits it" true (XV.check p = Ok ());
+  let uc = XV.use_case p in
+  List.iter
+    (fun mode ->
+      let m = Campaign.mode_to_string mode in
+      let row = Campaign.run uc mode Version.V4_6 in
+      check_bool (m ^ ": no trap") true (row.Campaign.r_rc = None);
+      let o = Trace_driver.replay (Trace_driver.record uc mode Version.V4_6) in
+      check_bool (m ^ ": replay equal") true o.Trace_driver.rp_equal;
+      check_bool (m ^ ": vts stream equal") true o.Trace_driver.rp_vts_equal)
+    modes
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -416,4 +440,6 @@ let () =
           Alcotest.test_case "cross-domain" `Quick test_crossdomain_scenarios;
         ] );
       ("checker", [ Alcotest.test_case "gates" `Quick test_checker_gates ]);
+      ( "regression",
+        [ Alcotest.test_case "u64 store across a page boundary" `Quick test_misaligned_u64 ] );
     ]
