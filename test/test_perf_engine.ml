@@ -1298,7 +1298,7 @@ let () =
               prop_walker_matches_reference;
               prop_tlb_matches_reference;
             ] );
-      ("alloc_budget", [ Alcotest.test_case "guest memory access" `Quick test_alloc_budget ]);
+      ("alloc", [ Alcotest.test_case "guest memory access" `Quick test_alloc_budget ]);
       ( "reset",
         [
           Alcotest.test_case "campaign rows: reset = create" `Quick
