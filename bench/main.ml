@@ -8,7 +8,7 @@
      dune exec bench/main.exe bench      -- only the Bechamel timings
 *)
 
-module All = Ii_exploits.All_exploits
+module Uc = Ii_exploits.Use_cases
 
 let hr title =
   Printf.printf "\n==================== %s ====================\n\n" title
@@ -24,10 +24,10 @@ let table1 () =
 
 let table2 () =
   hr "TABLE II (use case -> abusive functionality, §VI-A)";
-  print_endline (Campaign.table2 All.use_cases)
+  print_endline (Campaign.table2 Uc.xen)
 
 let injection_rows =
-  lazy (Campaign.run_matrix All.use_cases ~versions:Version.all ~modes:[ Campaign.Injection ])
+  lazy (Campaign.run_matrix Uc.xen ~versions:Version.all ~modes:[ Campaign.Injection ])
 
 let table3 () =
   hr "TABLE III (injection campaign, §VII/§VIII)";
@@ -56,7 +56,7 @@ let fig1 () =
 let fig2 () =
   hr "FIG 2 (methodology key components, end to end)";
   let tb = Testbed.create Version.V4_8 in
-  let uc = Option.get (All.find "XSA-182-test") in
+  let uc = Option.get (Uc.find "XSA-182-test") in
   let trace = Pipeline.run tb ~im:uc.Campaign.im ~inject:uc.Campaign.run_injection in
   Format.printf "%a@." Pipeline.pp trace
 
@@ -110,7 +110,7 @@ let fig4 () =
         (cls i.Campaign.r_violations)
         (Monitor.same_class e.Campaign.r_violations i.Campaign.r_violations
         && e.Campaign.r_state = i.Campaign.r_state))
-    All.use_cases
+    Uc.xen
 
 let extensions () =
   hr "EXTENSIONS (beyond the paper's prototype)";
@@ -149,7 +149,7 @@ let extensions () =
 
 open Bechamel
 
-let uc name = Option.get (All.find name)
+let uc name = Option.get (Uc.find name)
 
 let bench_tests =
   [
@@ -163,8 +163,8 @@ let bench_tests =
              (fun a ->
                List.iter
                  (fun b -> ignore (Intrusion_model.compatible a.Campaign.im b.Campaign.im))
-                 All.use_cases)
-             All.use_cases));
+                 Uc.xen)
+             Uc.xen));
     Test.make ~name:"table3/injection-run"
       (let tb = Testbed.create Version.V4_8 in
        Staged.stage (fun () ->
@@ -481,11 +481,11 @@ let perf_report ?(full = false) ~trials () =
   List.iter (fun v -> ignore (Testbed.create_pooled v)) Version.all;
   let seq_m, matrix_seq_s =
     seconds (fun () ->
-        Campaign.run_matrix All.use_cases ~versions:Version.all ~modes:[ Campaign.Injection ])
+        Campaign.run_matrix Uc.xen ~versions:Version.all ~modes:[ Campaign.Injection ])
   in
   let par_m, matrix_sharded_s =
     seconds (fun () ->
-        Campaign.run_matrix ~workers:campaign_workers ~pooled:true All.use_cases
+        Campaign.run_matrix ~workers:campaign_workers ~pooled:true Uc.xen
           ~versions:Version.all ~modes:[ Campaign.Injection ])
   in
   let matrix_identical = seq_m = par_m in
@@ -493,7 +493,7 @@ let perf_report ?(full = false) ~trials () =
      always-on counters; the ring-on vs ring-off trial timing is the
      overhead contract (off must stay within noise of the pre-trace
      numbers, on is allowed to cost). *)
-  let uc148 = Option.get (All.find "XSA-148-priv") in
+  let uc148 = Option.get (Uc.find "XSA-148-priv") in
   let tb_tr = Testbed.create Version.V4_6 in
   let row, trace_off_trial_s =
     seconds_best ~reps:5 (fun () ->
@@ -515,7 +515,7 @@ let perf_report ?(full = false) ~trials () =
   Campaign.publish registry row;
   Campaign.publish registry row_on;
   let vmi_trials =
-    Vmi_driver.coverage ~registry All.use_cases Campaign.Injection Version.V4_6
+    Vmi_driver.coverage ~registry Uc.xen Campaign.Injection Version.V4_6
   in
   let vmi_latency_keys =
     (* ns-denominated since schema 7 (virtual-clock deltas); the seq
@@ -571,12 +571,12 @@ let perf_report ?(full = false) ~trials () =
   let kvm_tb = Ii_backends.Backend_kvm.create Ii_backends.Backend_kvm.Stock in
   let kvm_row, backend_kvm_trial_s =
     seconds_best ~reps:5 (fun () ->
-        Ii_backends.Backends.Kvm_campaign.run ~tb:kvm_tb Ii_backends.Kvm_use_cases.vmcs_uc
+        Ii_backends.Backends.Kvm_campaign.run ~tb:kvm_tb (Option.get (Uc.find_kvm "KVM-VMCS"))
           Campaign.Injection Ii_backends.Backend_kvm.Stock)
   in
   let kvm_replay_equal =
     let r =
-      Ii_backends.Backends.Kvm_trace.record Ii_backends.Kvm_use_cases.idt_uc
+      Ii_backends.Backends.Kvm_trace.record (Option.get (Uc.find_kvm "KVM-IDT"))
         Campaign.Injection Ii_backends.Backend_kvm.Stock
     in
     (Ii_backends.Backends.Kvm_trace.replay r).Ii_backends.Backends.Kvm_trace.rp_equal
@@ -635,7 +635,7 @@ let perf_report ?(full = false) ~trials () =
   in
   let cov_acc = ref Coverage.empty in
   let cov_rows =
-    Campaign.run_matrix ~coverage:cov_acc All.use_cases ~versions:[ Version.V4_6 ]
+    Campaign.run_matrix ~coverage:cov_acc Uc.xen ~versions:[ Version.V4_6 ]
       ~modes:[ Campaign.Real_exploit; Campaign.Injection ]
   in
   (* one key per use case: bits the pair of trials (exploit + injection)
@@ -670,7 +670,7 @@ let perf_report ?(full = false) ~trials () =
     if load_trial_s > 0. then float_of_int load_hypercalls /. load_trial_s else 0.
   in
   let crossdomain_trials =
-    Vmi_driver.coverage ~domains:4 ~load:Load_mix.default All.use_cases
+    Vmi_driver.coverage ~domains:4 ~load:Load_mix.default Uc.xen
       Campaign.Injection Version.V4_6
   in
   let crossdomain_latency_keys =
@@ -703,7 +703,7 @@ let perf_report ?(full = false) ~trials () =
           ("prov_edges_" ^ u.Campaign.uc_name, I (Provenance.edge_count p));
           ("prov_tainted_bytes_" ^ u.Campaign.uc_name, I (Provenance.tainted_bytes p));
         ])
-      All.use_cases
+      Uc.xen
   in
   let kvm_prov_keys =
     List.concat_map
@@ -719,7 +719,7 @@ let perf_report ?(full = false) ~trials () =
           ("prov_edges_" ^ name, I (Provenance.edge_count p));
           ("prov_tainted_bytes_" ^ name, I (Provenance.tainted_bytes p));
         ])
-      Ii_backends.Kvm_use_cases.use_cases
+      Uc.kvm
   in
   ( [
     ("schema_version", I 9);

@@ -1,6 +1,6 @@
 (* The scenario subcommand: the .scn corpus as first-class input —
-   list, check, compile, disassemble, run and gate use cases that are
-   loadable data instead of OCaml modules. *)
+   list, check, compile, disassemble, run and cross-domain-gate use
+   cases that are loadable data instead of OCaml modules. *)
 
 open Cmdliner
 module XV = Scn_vm.Make (Ii_exploits.Scenario_xen)
@@ -344,103 +344,6 @@ let run_cmd =
         (const run $ file_arg $ backend_arg $ mode_arg $ version_arg $ domains_arg $ load_arg
         $ json_arg $ verbose_arg))
 
-(* --- scenario gate ------------------------------------------------------- *)
-
-(* The equivalence gate behind the CI step: a compiled scenario must
-   reproduce the hand-written module's result rows exactly — same
-   transcript bytes, states, return codes, violations and telemetry —
-   on every configuration, and its observed violations on the
-   vulnerable configuration must cover the header's [expect] classes. *)
-let gate_program (file, p) =
-  let errs = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> errs := Printf.sprintf "%s: %s" file m :: !errs) fmt in
-  (match List.concat_map check_errors [ (file, p) ] with
-  | [] -> ()
-  | es -> List.iter (fun e -> errs := e :: !errs) es);
-  let name = Scn_bytecode.name p in
-  let expect = Scn_bytecode.expected_violations p in
-  let check_expect observed =
-    let classes = List.map Scn_ast.violation_class observed in
-    List.iter
-      (fun c ->
-        if not (List.mem c classes) then
-          fail "expected violation class %s not observed on the vulnerable config (saw: %s)" c
-            (match classes with [] -> "none" | cs -> String.concat ", " cs))
-      expect
-  in
-  if !errs = [] then begin
-    match Scn_bytecode.backend p with
-    | Scn_bytecode.Xen_only | Scn_bytecode.Any -> (
-        match
-          List.find_opt
-            (fun uc -> uc.Campaign.uc_name = name)
-            Ii_exploits.All_exploits.use_cases
-        with
-        | None -> fail "no legacy module named %s to gate against" name
-        | Some legacy ->
-            let uc = XV.use_case p in
-            List.iter
-              (fun version ->
-                List.iter
-                  (fun mode ->
-                    let a = Campaign.run legacy mode version in
-                    let b = Campaign.run uc mode version in
-                    if a <> b then
-                      fail "diverges from the legacy module on Xen %s / %s"
-                        (Version.to_string version) (Campaign.mode_to_string mode))
-                  [ Campaign.Real_exploit; Campaign.Injection ])
-              Version.all;
-            check_expect
-              (Campaign.run uc Campaign.Injection Substrate_xen.rq1_config).Campaign.r_violations)
-    | Scn_bytecode.Kvm_only -> (
-        match
-          List.find_opt
-            (fun uc -> uc.KC.uc_name = name)
-            Ii_backends.Kvm_use_cases.use_cases
-        with
-        | None -> fail "no legacy module named %s to gate against" name
-        | Some legacy ->
-            let uc = KV.use_case p in
-            List.iter
-              (fun config ->
-                List.iter
-                  (fun mode ->
-                    let a = KC.run legacy mode config in
-                    let b = KC.run uc mode config in
-                    if a <> b then
-                      fail "diverges from the legacy module on KVM %s / %s"
-                        (Ii_backends.Backend_kvm.config_to_string config)
-                        (Campaign.mode_to_string mode))
-                  [ Campaign.Real_exploit; Campaign.Injection ])
-              Ii_backends.Backend_kvm.configs;
-            check_expect
-              (KC.run uc Campaign.Injection Ii_backends.Backend_kvm.rq1_config).KC.r_violations)
-  end;
-  List.rev !errs
-
-let gate_cmd =
-  let doc =
-    "Run each scenario through the bytecode VM and the same-named hand-written module on \
-     every configuration and fail on any divergence (the CI corpus gate)."
-  in
-  let run files =
-    match load_all files with
-    | Error e -> `Error (false, e)
-    | Ok progs -> (
-        match List.concat_map gate_program progs with
-        | [] ->
-            List.iter
-              (fun (f, p) ->
-                Printf.printf "%s: %s matches the legacy module on all configurations\n" f
-                  (Scn_bytecode.name p))
-              progs;
-            `Ok ()
-        | errs ->
-            List.iter prerr_endline errs;
-            `Error (false, Printf.sprintf "%d gate failure(s)" (List.length errs)))
-  in
-  Cmd.v (Cmd.info "gate" ~doc) Term.(ret (const run $ files_arg))
-
 (* --- scenario crossdomain ------------------------------------------------ *)
 
 (* The cross-domain gate behind the CI step: each scenario runs on an
@@ -528,4 +431,4 @@ let cmd =
   let doc = "Work with compiled intrusion scenarios (.scn corpus)." in
   Cmd.group
     (Cmd.info "scenario" ~doc)
-    [ list_cmd; check_cmd; compile_cmd; disasm_cmd; run_cmd; gate_cmd; crossdomain_cmd ]
+    [ list_cmd; check_cmd; compile_cmd; disasm_cmd; run_cmd; crossdomain_cmd ]

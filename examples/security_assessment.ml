@@ -8,7 +8,7 @@ let () =
   print_endline "Injecting the four use-case erroneous states into every Xen version...";
   print_newline ();
   let rows =
-    Campaign.run_matrix Ii_exploits.All_exploits.use_cases ~versions:Version.all
+    Campaign.run_matrix Ii_exploits.Use_cases.xen ~versions:Version.all
       ~modes:[ Campaign.Injection ]
   in
   print_endline (Campaign.table3 rows);

@@ -10,10 +10,10 @@
     The engine is a functor over {!Substrate.S}, so the same
     orchestration runs unchanged on any backend; the toplevel of this
     module is the functor applied to {!Substrate_xen} (the historical
-    interface, preserved verbatim). The use cases themselves live in
-    [ii_exploits] (Xen) and [ii_backends] (KVM) and plug in here — the
-    campaign engine is exploit-agnostic, as an injection tool must
-    be. *)
+    interface, preserved verbatim). The use cases themselves are the
+    [.scn] corpus, compiled by [Ii_exploits.Use_cases], and plug in
+    here — the campaign engine is exploit-agnostic, as an injection
+    tool must be. *)
 
 type mode = Real_exploit | Injection
 

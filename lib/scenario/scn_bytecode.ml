@@ -93,7 +93,7 @@ let str p sid = if sid >= 0 && sid < Array.length p.strings then p.strings.(sid)
 
 (* --- log format mini-language ------------------------------------------- *)
 
-(* The directives the legacy use cases actually print with. [%s] is
+(* The directives the corpus transcripts print with. [%s] is
    reserved for [log-errno] (exactly one, no other conversions). *)
 let fmt_directives = [ "%016Lx"; "%Lx"; "%d"; "%x"; "%%" ]
 

@@ -3,18 +3,20 @@
    symbols are runtime address discovery (the testbed's own page-table
    frames, the IDT base, a VMCS address); hypercalls and guest ops are
    dispatched by name; payloads are the abusive-functionality library —
-   the same OCaml routines the hand-written use cases call, exposed to
-   bytecode so a ported scenario's transcript stays byte-identical to
-   its legacy module.
+   the OCaml routines of the paper's PoCs that are more than one
+   hypercall, exposed to bytecode.
 
    The [caps] table must agree with the dispatch functions: everything
    {!Scn_check.check} admits, the functions must resolve. Dispatch of a
-   name the checker would have rejected raises {!Scn_vm.Trap}. *)
+   name the checker would have rejected, or a symbol that does not
+   resolve on this testbed, raises {!Trap}; the VM turns it into the
+   end of the section. *)
 
 exception Trap of string
-(** Raised by dispatch functions (and the VM) on a call the load-time
-    checker would have rejected — running unchecked bytecode is the
-    only way to see it. *)
+(** Raised by dispatch functions (and the VM) on a call that cannot
+    proceed: one the load-time checker would have rejected, or one
+    whose runtime lookup fails. {!Scn_vm} catches it and ends the
+    section with a [trap: <msg>] transcript line. *)
 
 let trap fmt = Printf.ksprintf (fun msg -> raise (Trap msg)) fmt
 

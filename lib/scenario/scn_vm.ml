@@ -3,16 +3,18 @@
 
    Sixteen 64-bit registers, one error flag (the last injection-port or
    host-write errno), one return-code slot, a transcript accumulator
-   and a declared-states accumulator — exactly the state a hand-written
-   use case threads through its closure, made explicit. Each section
+   and a declared-states accumulator — the state a use case threads
+   through one attempt, made explicit. Each section
    (exploit, inject) runs start-to-[halt]/end and folds into a
    {!Campaign.Make.attempt}, so a compiled scenario drops into every
    consumer of campaign use cases — the campaign engine, the scheduler,
    the trace/VMI drivers, attribution — without those layers knowing
    bytecode exists.
 
-   The VM assumes checked bytecode ({!Scn_check.check}); a dispatch the
-   checker would have refused raises {!Scn_ops.Trap}. *)
+   A dispatch that fails at run time — a symbol that does not resolve
+   on this testbed, or one the checker would have refused — raises
+   {!Scn_ops.Trap}, which ends the section with a [trap: <msg>]
+   transcript line. *)
 
 open Scn_bytecode
 
@@ -27,8 +29,8 @@ module Make (O : Scn_ops.OPS) = struct
   (* Applied to [O.B] directly (not the [B] alias above): applicative
      functor paths only normalize through true module aliases, and
      [Scenario_xen.B = Substrate_xen] is one — so [C.use_case] is the
-     very type the legacy modules and the top-level [Campaign] build,
-     and scenarios flow into every downstream driver unchanged. *)
+     very type the top-level [Campaign] builds, and scenarios flow into
+     every downstream driver unchanged. *)
   module C = Campaign.Make (O.B)
 
   type st = {
@@ -186,7 +188,9 @@ module Make (O : Scn_ops.OPS) = struct
         else Scn_ops.trap "unknown opcode %d at pc %d" i.op pc
       end
     in
-    step 0 fuel;
+    (* A trap ends the section the way [halt] does, keeping the states
+       and rc set so far: checked programs must never raise. *)
+    (try step 0 fuel with Scn_ops.Trap msg -> say ("trap: " ^ msg));
     { C.transcript = List.rev st.logs; states = List.rev st.states; rc = st.rc }
 
   (* The section code folds a 7-bit per-program salt over the
@@ -201,8 +205,8 @@ module Make (O : Scn_ops.OPS) = struct
     (!h lsl 1) lor (section land 1)
 
   (* A compiled program as a campaign use case: because [Campaign.Make]
-     is applicative, this is the very same [use_case] type the legacy
-     modules build, so everything downstream of the campaign engine
+     is applicative, this is the very same [use_case] type the engine's
+     toplevel takes, so everything downstream of the campaign engine
      accepts scenarios unchanged. *)
   let use_case (p : program) : C.use_case =
     {

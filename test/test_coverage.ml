@@ -257,7 +257,7 @@ let prop_hex_roundtrip =
 
 (* --- campaign determinism ------------------------------------------------ *)
 
-let some_ucs n = List.filteri (fun i _ -> i < n) Ii_exploits.All_exploits.use_cases
+let some_ucs n = List.filteri (fun i _ -> i < n) Ii_exploits.Use_cases.xen
 
 let matrix ?pooled ~workers ?domains ?load ucs =
   let acc = ref Coverage.empty in
@@ -328,7 +328,7 @@ let test_scheduler_coverage_invariant () =
 
 let test_replay_reproduces_map_xen () =
   let uc =
-    match Ii_exploits.All_exploits.find "XSA-212-priv" with
+    match Ii_exploits.Use_cases.find "XSA-212-priv" with
     | Some uc -> uc
     | None -> Alcotest.fail "no XSA-212-priv"
   in
@@ -370,7 +370,7 @@ let test_replay_reproduces_map_kvm () =
     match
       List.find_opt
         (fun uc -> uc.Ii_backends.Backends.Kvm_campaign.uc_name = "KVM-VMCS")
-        Ii_backends.Kvm_use_cases.use_cases
+        Ii_exploits.Use_cases.kvm
     with
     | Some uc -> uc
     | None -> Alcotest.fail "no KVM-VMCS"

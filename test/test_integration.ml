@@ -374,7 +374,7 @@ let test_hang_state_without_watchdog_is_availability_only () =
 
 let test_crash_console_dump () =
   let row =
-    Campaign.run (Option.get (Ii_exploits.All_exploits.find "XSA-212-crash")) Campaign.Injection
+    Campaign.run (Option.get (Ii_exploits.Use_cases.find "XSA-212-crash")) Campaign.Injection
       Version.V4_6
   in
   check_bool "row crashed" true
@@ -412,7 +412,7 @@ let test_injector_installation_is_benign () =
 
 let test_matrix_deterministic () =
   let run () =
-    Campaign.run_matrix Ii_exploits.All_exploits.use_cases ~versions:[ Version.V4_6 ]
+    Campaign.run_matrix Ii_exploits.Use_cases.xen ~versions:[ Version.V4_6 ]
       ~modes:[ Campaign.Injection ]
   in
   let a = Campaign.table3 (run ()) in

@@ -11,7 +11,7 @@ open Ii_core
 open Ii_scenario
 open Ii_vmi
 open Ii_trace
-module All = Ii_exploits.All_exploits
+module Uc = Ii_exploits.Use_cases
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -542,7 +542,7 @@ let test_reset_equals_create_campaign () =
           check_bool (uc.Campaign.uc_name ^ "/" ^ Campaign.mode_to_string mode) true
             (fresh = reused))
         [ Campaign.Real_exploit; Campaign.Injection ])
-    All.use_cases
+    Uc.xen
 
 let test_reset_equals_create_snapshot () =
   let pristine = Monitor.snapshot (Testbed.create Version.V4_8) in
@@ -595,7 +595,7 @@ let test_pooled_equals_fresh_campaign () =
           check_bool (uc.Campaign.uc_name ^ "/" ^ Campaign.mode_to_string mode ^ " pooled") true
             (fresh = pooled))
         [ Campaign.Real_exploit; Campaign.Injection ])
-    All.use_cases
+    Uc.xen
 
 (* The same contract with extra domains and background load live: the
    pool keys on the domain count, the template stays load-free, and the
@@ -616,7 +616,7 @@ let test_pooled_equals_fresh_multidomain () =
            ^ " multi-domain pooled")
             true (fresh = pooled))
         [ Campaign.Real_exploit; Campaign.Injection ])
-    All.use_cases
+    Uc.xen
 
 let test_pooled_equals_fresh_kvm () =
   let module BK = Ii_backends.Backend_kvm in
@@ -631,14 +631,14 @@ let test_pooled_equals_fresh_kvm () =
           check_bool (uc.KC.uc_name ^ "/" ^ Campaign.mode_to_string mode ^ " kvm pooled") true
             (fresh = pooled))
         [ Campaign.Real_exploit; Campaign.Injection ])
-    Ii_backends.Kvm_use_cases.use_cases
+    Uc.kvm
 
 (* Out-of-band observers on a forked testbed: interleaved monitor scans
    (through the scan cache, whose anchoring rides the baseline epoch the
    fork inherits) must not change the row, and the row must still equal
    the fresh-boot one. *)
 let test_pooled_interleaved_scans () =
-  let uc = Option.get (All.find "XSA-148-priv") in
+  let uc = Option.get (Uc.find "XSA-148-priv") in
   let row_with tb =
     let cache = Monitor.create_scan_cache () in
     Campaign.run ~tb
@@ -652,7 +652,7 @@ let test_pooled_interleaved_scans () =
 (* The provenance shadow attaches to a fork exactly as to a fresh boot:
    same causal graph, same taint. *)
 let test_pooled_provenance () =
-  let uc = Option.get (All.find "XSA-182-test") in
+  let uc = Option.get (Uc.find "XSA-182-test") in
   let stats tb =
     Substrate_xen.enable_provenance tb;
     ignore (Campaign.run ~tb uc Campaign.Injection Version.V4_6);
@@ -982,7 +982,7 @@ let test_zero_page_survives_use_cases () =
           ignore (Trace_driver.replay r : Trace_driver.replay_outcome);
           ignore (Campaign.run ~tb:xen_pool uc mode Version.V4_6 : Campaign.result_row))
         modes)
-    All.use_cases;
+    Uc.xen;
   let kvm_pool = BK.create_pooled BK.Stock in
   BK.enable_provenance kvm_pool;
   attach_coverage (BK.trace kvm_pool);
@@ -994,7 +994,7 @@ let test_zero_page_survives_use_cases () =
           ignore (KB.Kvm_trace.replay r : KB.Kvm_trace.replay_outcome);
           ignore (KB.Kvm_campaign.run ~tb:kvm_pool uc mode BK.Stock : KB.Kvm_campaign.result_row))
         modes)
-    Ii_backends.Kvm_use_cases.use_cases;
+    Uc.kvm;
   check_zero_page_intact "after every use case"
 
 (* --- Batching scheduler ---------------------------------------------------- *)
@@ -1068,9 +1068,9 @@ let test_random_campaign_shard_identical () =
   check_bool "sequential = 3-worker summary" true (seq = sharded)
 
 let test_run_matrix_shard_identical () =
-  let seq = Campaign.run_matrix All.use_cases ~versions:[ Version.V4_6 ] ~modes:[ Campaign.Injection ] in
+  let seq = Campaign.run_matrix Uc.xen ~versions:[ Version.V4_6 ] ~modes:[ Campaign.Injection ] in
   let sharded =
-    Campaign.run_matrix ~workers:2 All.use_cases ~versions:[ Version.V4_6 ]
+    Campaign.run_matrix ~workers:2 Uc.xen ~versions:[ Version.V4_6 ]
       ~modes:[ Campaign.Injection ]
   in
   check_bool "sequential = 2-worker matrix" true (seq = sharded)

@@ -8,7 +8,7 @@
 open Ii_trace
 open Ii_xen
 open Ii_core
-module All = Ii_exploits.All_exploits
+module Uc = Ii_exploits.Use_cases
 module B = Ii_backends.Backends
 module K = Ii_backends.Backend_kvm
 
@@ -17,7 +17,7 @@ let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
 let uc name =
-  match All.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
+  match Uc.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
 
 let starts_with ~prefix s =
   String.length s >= String.length prefix
@@ -108,7 +108,7 @@ let test_kvm_attribution_names_injector () =
               true
               (List.exists (starts_with ~prefix:"injector#") row.B.Kvm_attribution.a_origins))
         r.B.Kvm_attribution.ar_rows)
-    Ii_backends.Kvm_use_cases.use_cases
+    Uc.kvm
 
 let test_attribution_deterministic () =
   let run () =
@@ -132,7 +132,7 @@ let test_replay_graph_identical () =
         o.Trace_driver.rp_equal;
       check_bool (uc0.Campaign.uc_name ^ ": graph byte-for-byte") true
         o.Trace_driver.rp_prov_equal)
-    All.use_cases
+    Uc.xen
 
 let test_kvm_replay_graph_identical () =
   List.iter
@@ -143,7 +143,7 @@ let test_kvm_replay_graph_identical () =
       let o = B.Kvm_trace.replay r in
       check_bool (kuc.B.Kvm_campaign.uc_name ^ ": graph byte-for-byte") true
         o.B.Kvm_trace.rp_prov_equal)
-    Ii_backends.Kvm_use_cases.use_cases
+    Uc.kvm
 
 (* The replay's final snapshot runs with the ring still open, as the
    recording's does, so the monitor-scan provenance edges that close a
@@ -171,7 +171,7 @@ let test_kvm_replay_vts_with_provenance () =
   let kuc =
     List.find
       (fun k -> k.B.Kvm_campaign.uc_name = "KVM-VMCS")
-      Ii_backends.Kvm_use_cases.use_cases
+      Uc.kvm
   in
   List.iter
     (fun mode ->
@@ -206,7 +206,7 @@ let test_provenance_does_not_change_results () =
         (off.Trace_driver.rec_final = on.Trace_driver.rec_final);
       check_bool (uc0.Campaign.uc_name ^ ": plain recording has no graph") true
         (off.Trace_driver.rec_prov = None))
-    All.use_cases
+    Uc.xen
 
 let () =
   Alcotest.run "provenance"

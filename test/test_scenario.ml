@@ -6,12 +6,13 @@
      over every file in corpus/
    - totality: the parser, decoder and checker never raise on arbitrary
      or mutated input — they return [Error] with a position
-   - golden equality: each compiled scenario reproduces its legacy
-     hand-written module's result rows and monitor snapshots exactly,
-     on both backends and in both modes *)
+   - goldens: every corpus program x config x mode reproduces the
+     result row, final snapshot and recording pinned in
+     test/golden/corpus.golden, and each program's expected violation
+     classes show on its vulnerable config
+   - regressions: checked programs that once made the simulator raise *)
 
 open Ii_xen
-open Ii_guest
 open Ii_core
 open Ii_scenario
 
@@ -176,7 +177,7 @@ let prop_checker_total_corrupted =
           | (Ok () | Error _), (Ok () | Error _) -> true)
       | exception _ -> false)
 
-(* --- golden equality vs the legacy modules -------------------------------- *)
+(* --- goldens ------------------------------------------------------------------ *)
 
 let modes = [ Campaign.Real_exploit; Campaign.Injection ]
 
@@ -187,90 +188,86 @@ let xen_program name =
   check_bool (name ^ " checks") true (XV.check p = Ok ());
   XV.use_case p
 
-let legacy_xen name =
-  List.find (fun uc -> uc.Campaign.uc_name = name) Ii_exploits.All_exploits.use_cases
+let golden_dir = if Sys.file_exists "golden" then "golden" else "test/golden"
 
-let test_golden_xen () =
+let golden =
+  lazy
+    (In_channel.with_open_bin (Filename.concat golden_dir "corpus.golden") In_channel.input_lines
+    |> List.map Golden.parse)
+
+(* Every cell recomputed once, tagged with whether it ran on KVM. *)
+let computed =
+  lazy
+    (List.concat_map
+       (fun (_, p) ->
+         let on_kvm = Scn_bytecode.backend p = Scn_bytecode.Kvm_only in
+         List.map (fun l -> (on_kvm, Golden.parse l)) (Golden.program_lines p))
+       (Lazy.force corpus_programs))
+
+let check_fields ~on_kvm keys () =
+  let golden = Lazy.force golden in
   List.iter
-    (fun name ->
-      let scn = xen_program name and legacy = legacy_xen name in
-      List.iter
-        (fun version ->
-          List.iter
-            (fun mode ->
-              let a = Campaign.run legacy mode version in
-              let b = Campaign.run scn mode version in
-              check_bool
-                (Printf.sprintf "%s %s %s: result rows identical" name
-                   (Version.to_string version) (Campaign.mode_to_string mode))
-                true (a = b))
-            modes)
-        [ Version.V4_6; Version.V4_13 ])
-    [ "XSA-148-priv"; "XSA-182-test"; "XSA-212-crash"; "XSA-212-priv" ]
+    (fun (kvm, (((name, config, mode) as cell), fields)) ->
+      if kvm = on_kvm then
+        match List.assoc_opt cell golden with
+        | None -> Alcotest.failf "no golden line for %s %s %s" name config mode
+        | Some pinned ->
+            List.iter
+              (fun k ->
+                Alcotest.(check string)
+                  (Printf.sprintf "%s %s %s %s" name config mode k)
+                  (List.assoc k pinned) (List.assoc k fields))
+              keys)
+    (Lazy.force computed)
 
-let test_golden_xen_snapshots () =
-  List.iter
-    (fun name ->
-      let scn = xen_program name and legacy = legacy_xen name in
-      List.iter
-        (fun mode ->
-          let tb_a = Testbed.create Version.V4_6 in
-          ignore (Campaign.run ~tb:tb_a legacy mode Version.V4_6);
-          let tb_b = Testbed.create Version.V4_6 in
-          ignore (Campaign.run ~tb:tb_b scn mode Version.V4_6);
-          check_bool
-            (Printf.sprintf "%s %s: final snapshots identical" name
-               (Campaign.mode_to_string mode))
-            true
-            (Substrate_xen.snapshot tb_a = Substrate_xen.snapshot tb_b))
-        modes)
-    [ "XSA-148-priv"; "XSA-182-test"; "XSA-212-crash"; "XSA-212-priv" ]
+let recording_keys = [ "trace"; "vts"; "prov"; "cov" ]
 
-let kvm_program name =
-  let _, p =
-    List.find (fun (_, p) -> Scn_bytecode.name p = name) (Lazy.force corpus_programs)
+let test_golden_recordings () =
+  check_fields ~on_kvm:false recording_keys ();
+  check_fields ~on_kvm:true recording_keys ()
+
+(* The goldens cover exactly the corpus cells: one line per program x
+   config x mode, none left over. *)
+let test_golden_cells () =
+  let cells =
+    List.concat_map
+      (fun (_, p) ->
+        let configs =
+          match Scn_bytecode.backend p with
+          | Scn_bytecode.Kvm_only -> List.map BK.config_to_string BK.configs
+          | Scn_bytecode.Xen_only | Scn_bytecode.Any -> List.map Version.to_string Version.all
+        in
+        List.concat_map
+          (fun c ->
+            List.map (fun m -> (Scn_bytecode.name p, c, Campaign.mode_to_string m)) modes)
+          configs)
+      (Lazy.force corpus_programs)
   in
-  check_bool (name ^ " checks") true (KV.check p = Ok ());
-  KV.use_case p
+  check_int "40 cells" 40 (List.length cells);
+  Alcotest.(check (list (triple string string string)))
+    "golden cells = corpus cells" (List.sort compare cells)
+    (List.sort compare (List.map fst (Lazy.force golden)))
 
-let legacy_kvm name =
-  List.find (fun uc -> uc.KC.uc_name = name) Ii_backends.Kvm_use_cases.use_cases
-
-let test_golden_kvm () =
+(* Each program's [expect] classes show on its vulnerable config. *)
+let test_expect_classes () =
   List.iter
-    (fun name ->
-      let scn = kvm_program name and legacy = legacy_kvm name in
+    (fun (f, p) ->
+      let observed =
+        match Scn_bytecode.backend p with
+        | Scn_bytecode.Kvm_only ->
+            (KC.run (KV.use_case p) Campaign.Injection BK.rq1_config).KC.r_violations
+        | Scn_bytecode.Xen_only | Scn_bytecode.Any ->
+            (Campaign.run (XV.use_case p) Campaign.Injection Substrate_xen.rq1_config)
+              .Campaign.r_violations
+      in
+      let classes = List.map Scn_ast.violation_class observed in
       List.iter
-        (fun mode ->
-          let a = KC.run legacy mode BK.Stock in
-          let b = KC.run scn mode BK.Stock in
-          check_bool
-            (Printf.sprintf "%s %s: result rows identical" name
-               (Campaign.mode_to_string mode))
-            true (a = b))
-        modes)
-    [ "KVM-VMCS"; "KVM-IDT" ]
-
-let test_golden_kvm_snapshots () =
-  List.iter
-    (fun name ->
-      let scn = kvm_program name and legacy = legacy_kvm name in
-      List.iter
-        (fun mode ->
-          let tb_a = BK.create BK.Stock in
-          ignore (KC.run ~tb:tb_a legacy mode BK.Stock);
-          let tb_b = BK.create BK.Stock in
-          ignore (KC.run ~tb:tb_b scn mode BK.Stock);
-          check_bool
-            (Printf.sprintf "%s %s: final snapshots identical" name
-               (Campaign.mode_to_string mode))
-            true
-            (BK.snapshot tb_a = BK.snapshot tb_b))
-        modes)
-    [ "KVM-VMCS"; "KVM-IDT" ]
+        (fun c -> check_bool (Printf.sprintf "%s: %s observed" f c) true (List.mem c classes))
+        (Scn_bytecode.expected_violations p))
+    (Lazy.force corpus_programs)
 
 (* The corpus through the scheduler's batching path: same rows as the
-   one-at-a-time runs, so compiled scenarios shard like legacy modules. *)
+   one-at-a-time runs. *)
 let test_run_corpus_matches_run () =
   let progs =
     List.filter_map
@@ -386,15 +383,16 @@ let test_checker_gates () =
 
 (* --- regressions --------------------------------------------------------------- *)
 
-(* checked programs that once made the simulator raise; each must run in
-   both modes and replay byte-identically *)
+(* checked programs that once made the simulator raise *)
 let regression_dir = if Sys.file_exists "scn" then "scn" else "test/scn"
 
-let test_misaligned_u64 () =
+(* Each regression must pass the checker, run in both modes with the
+   expected rc and last transcript line, and replay byte-identically. *)
+let run_regression file ~rc ~last () =
   let p =
-    match Scn_loader.load_file (Filename.concat regression_dir "misaligned_u64.scn") with
+    match Scn_loader.load_file (Filename.concat regression_dir file) with
     | Ok p -> p
-    | Error e -> Alcotest.failf "misaligned_u64.scn: %s" e
+    | Error e -> Alcotest.failf "%s: %s" file e
   in
   check_bool "checker admits it" true (XV.check p = Ok ());
   let uc = XV.use_case p in
@@ -402,7 +400,10 @@ let test_misaligned_u64 () =
     (fun mode ->
       let m = Campaign.mode_to_string mode in
       let row = Campaign.run uc mode Version.V4_6 in
-      check_bool (m ^ ": no trap") true (row.Campaign.r_rc = None);
+      check_bool (m ^ ": rc") true (row.Campaign.r_rc = rc);
+      Alcotest.(check (option string))
+        (m ^ ": last transcript line") last
+        (List.nth_opt (List.rev row.Campaign.r_transcript) 0);
       let o = Trace_driver.replay (Trace_driver.record uc mode Version.V4_6) in
       check_bool (m ^ ": replay equal") true o.Trace_driver.rp_equal;
       check_bool (m ^ ": vts stream equal") true o.Trace_driver.rp_vts_equal)
@@ -432,14 +433,29 @@ let () =
           ] );
       ( "golden",
         [
-          Alcotest.test_case "xen result rows" `Quick test_golden_xen;
-          Alcotest.test_case "xen snapshots" `Quick test_golden_xen_snapshots;
-          Alcotest.test_case "kvm result rows" `Quick test_golden_kvm;
-          Alcotest.test_case "kvm snapshots" `Quick test_golden_kvm_snapshots;
+          Alcotest.test_case "xen result rows" `Quick (check_fields ~on_kvm:false [ "row"; "fp" ]);
+          Alcotest.test_case "xen snapshots" `Quick (check_fields ~on_kvm:false [ "snap" ]);
+          Alcotest.test_case "kvm result rows" `Quick (check_fields ~on_kvm:true [ "row"; "fp" ]);
+          Alcotest.test_case "kvm snapshots" `Quick (check_fields ~on_kvm:true [ "snap" ]);
+          Alcotest.test_case "recordings" `Quick test_golden_recordings;
+          Alcotest.test_case "cells" `Quick test_golden_cells;
+          Alcotest.test_case "expect classes" `Quick test_expect_classes;
           Alcotest.test_case "scheduler path" `Quick test_run_corpus_matches_run;
           Alcotest.test_case "cross-domain" `Quick test_crossdomain_scenarios;
         ] );
       ("checker", [ Alcotest.test_case "gates" `Quick test_checker_gates ]);
       ( "regression",
-        [ Alcotest.test_case "u64 store across a page boundary" `Quick test_misaligned_u64 ] );
+        [
+          Alcotest.test_case "u64 store across a page boundary" `Quick
+            (run_regression "misaligned_u64.scn" ~rc:None ~last:None);
+          Alcotest.test_case "kernel-l1 behind an empty slot" `Quick
+            (run_regression "unmapped_kernel_l1.scn" ~rc:(Some 3)
+               ~last:(Some "trap: env kernel-l1: Toolkit: cannot find kernel L1"));
+          Alcotest.test_case "mfn-of-pfn beyond the p2m" `Quick
+            (run_regression "unpopulated_pfn.scn" ~rc:None
+               ~last:(Some "trap: env mfn-of-pfn: pfn 1048575 unpopulated"));
+          Alcotest.test_case "log-errno before any error" `Quick
+            (run_regression "log_errno_no_error.scn" ~rc:None
+               ~last:(Some "trap: log-errno with no pending error"));
+        ] );
     ]

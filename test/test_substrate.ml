@@ -3,7 +3,8 @@
    The substrate refactor must leave the Xen path byte-identical:
    trace recordings and campaign result rows produced through the
    substrate-generic drivers must equal the pre-refactor fixtures in
-   [Golden_xen] (captured before the refactor; never regenerated).
+   test/golden/pre_substrate.golden (captured before the refactor;
+   never regenerated).
    The KVM backend must be a complete substrate: campaign runs,
    checkpoint/reset, Errno-mapped injection port, deterministic trace
    record/replay, and working detectors. *)
@@ -11,48 +12,47 @@
 open Ii_trace
 open Ii_xen
 open Ii_core
-module All = Ii_exploits.All_exploits
+module Uc = Ii_exploits.Use_cases
 module BK = Ii_backends.Backend_kvm
 module KC = Ii_backends.Backends.Kvm_campaign
 module KT = Ii_backends.Backends.Kvm_trace
 module KV = Ii_backends.Backends.Kvm_vmi
-module KU = Ii_backends.Kvm_use_cases
+module KU = struct
+  let use_cases = Uc.kvm
+  let vmcs_uc = Option.get (Uc.find_kvm "KVM-VMCS")
+  let idt_uc = Option.get (Uc.find_kvm "KVM-IDT")
+end
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
 let uc name =
-  match All.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
+  match Uc.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
 
 let mode_of_string = function
   | "exploit" -> Campaign.Real_exploit
   | "injection" -> Campaign.Injection
   | m -> Alcotest.fail ("bad mode in fixture: " ^ m)
 
-(* The exact fingerprint the fixture generator used, re-implemented
-   here: any drift in row content or formatting shows up as a diff. *)
-let fingerprint (r : Campaign.result_row) =
-  let t = r.Campaign.r_telemetry in
-  String.concat "\n"
-    ([ Printf.sprintf "use_case=%s" r.Campaign.r_use_case;
-       Printf.sprintf "version=%s" (Version.to_string r.Campaign.r_version);
-       Printf.sprintf "mode=%s" (Campaign.mode_to_string r.Campaign.r_mode);
-       Printf.sprintf "state=%b" r.Campaign.r_state;
-       Printf.sprintf "rc=%s"
-         (match r.Campaign.r_rc with Some rc -> string_of_int rc | None -> "-") ]
-    @ List.map (fun e -> "evidence=" ^ e) r.Campaign.r_state_evidence
-    @ List.map
-        (fun v -> "violation=" ^ Monitor.violation_to_string v)
-        r.Campaign.r_violations
-    @ List.map (fun l -> "transcript=" ^ l) r.Campaign.r_transcript
-    @ [ Printf.sprintf "telemetry=%s|f%d|F%d|d%d|fl%d|i%d|p%d|g%d|e%d|inj%d|vs%d|vf%d|vfr%d"
-          (String.concat ","
-             (List.map (fun (n, c) -> Printf.sprintf "%d:%d" n c) t.Trace.tm_hypercalls))
-          t.Trace.tm_hypercalls_failed t.Trace.tm_faults t.Trace.tm_double_faults
-          t.Trace.tm_flushes t.Trace.tm_invlpgs t.Trace.tm_page_type_changes
-          t.Trace.tm_grant_ops t.Trace.tm_evtchn_ops t.Trace.tm_injector_accesses
-          t.Trace.tm_vmi_scans t.Trace.tm_vmi_findings t.Trace.tm_vmi_frames ])
+(* The pre-refactor fixtures (test/golden/pre_substrate.golden): per
+   Xen 4.6 cell, the v1 ring bytes (hex) and the row fingerprint
+   (escaped), captured before the substrate refactor; never
+   regenerated. *)
+let golden_dir = if Sys.file_exists "golden" then "golden" else "test/golden"
+
+let unhex h =
+  String.init (String.length h / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let golden_cases =
+  lazy
+    (In_channel.with_open_bin (Filename.concat golden_dir "pre_substrate.golden")
+       In_channel.input_lines
+    |> List.map (fun line ->
+           let (name, _, mode), fields = Golden.parse line in
+           (name, mode, unhex (List.assoc "ring_v1" fields), Scanf.unescaped (List.assoc "fp" fields))))
+
+let fingerprint = Golden.Xen.fingerprint
 
 (* --- Xen neutrality ------------------------------------------------------ *)
 
@@ -67,7 +67,7 @@ let test_golden_trace_bytes () =
         (Printf.sprintf "%s/%s trace bytes" name mode_s)
         trace_bytes
         (Trace.strip_vts r.Trace_driver.rec_bytes))
-    Golden_xen.cases
+    (Lazy.force golden_cases)
 
 let test_golden_row_fingerprints () =
   List.iter
@@ -77,7 +77,7 @@ let test_golden_row_fingerprints () =
         (Printf.sprintf "%s/%s row fingerprint" name mode_s)
         row_fp
         (fingerprint r.Trace_driver.rec_row))
-    Golden_xen.cases
+    (Lazy.force golden_cases)
 
 let test_golden_recordings_replay () =
   List.iter
@@ -86,7 +86,7 @@ let test_golden_recordings_replay () =
       let o = Trace_driver.replay r in
       check_bool (Printf.sprintf "%s/%s applied" name mode_s) true (o.Trace_driver.rp_applied > 0);
       check_bool (Printf.sprintf "%s/%s equal" name mode_s) true o.Trace_driver.rp_equal)
-    Golden_xen.cases
+    (Lazy.force golden_cases)
 
 let test_backend_field_tags_xen () =
   let r = Campaign.run (uc "XSA-148-priv") Campaign.Injection Version.V4_6 in
@@ -209,7 +209,7 @@ let test_kvm_detectors_cover () =
 let test_domain_indexed_view () =
   let xen_tb = Ii_guest.Testbed.create ~domains:4 ~load:Load_mix.default Version.V4_6 in
   check_int "xen: four guest domains" 4 (List.length (Substrate_xen.domains xen_tb));
-  let uc = Option.get (All.find "XSA-212-priv") in
+  let uc = Option.get (Uc.find "XSA-212-priv") in
   let before = Substrate_xen.snapshot xen_tb in
   ignore (Campaign.run ~tb:xen_tb uc Campaign.Injection Version.V4_6);
   Ii_guest.Testbed.tick_all xen_tb;

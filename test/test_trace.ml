@@ -7,14 +7,14 @@
 open Ii_trace
 open Ii_xen
 open Ii_core
-module All = Ii_exploits.All_exploits
+module Uc = Ii_exploits.Use_cases
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
 let uc name =
-  match All.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
+  match Uc.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
 
 (* --- ring mechanics ------------------------------------------------------ *)
 
@@ -181,7 +181,7 @@ let test_replay_equivalent () =
             true o.Trace_driver.rp_equal;
           check_bool "applied something" true (o.Trace_driver.rp_applied > 0))
         [ Campaign.Real_exploit; Campaign.Injection ])
-    All.use_cases
+    Uc.xen
 
 (* --- tracing must not perturb results ------------------------------------ *)
 
@@ -199,7 +199,7 @@ let test_tracing_does_not_change_results () =
         (Printf.sprintf "%s: traced row = plain row" uc.Campaign.uc_name)
         true
         (strip_row plain = strip_row traced))
-    All.use_cases
+    Uc.xen
 
 (* --- telemetry ----------------------------------------------------------- *)
 

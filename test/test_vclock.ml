@@ -9,7 +9,7 @@ open Ii_trace
 open Ii_xen
 open Ii_vmi
 open Ii_core
-module All = Ii_exploits.All_exploits
+module Uc = Ii_exploits.Use_cases
 module B = Ii_backends.Backends
 module K = Ii_backends.Backend_kvm
 
@@ -19,7 +19,7 @@ let check_string = Alcotest.(check string)
 let check_i64 = Alcotest.(check int64)
 
 let uc name =
-  match All.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
+  match Uc.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
 
 (* --- the cost model ------------------------------------------------------ *)
 
@@ -93,7 +93,7 @@ let test_xen_replay_vts_identical () =
         o.Trace_driver.rp_equal;
       check_bool (uc0.Campaign.uc_name ^ ": vts stream reproduced") true
         o.Trace_driver.rp_vts_equal)
-    All.use_cases
+    Uc.xen
 
 let test_kvm_replay_vts_identical () =
   List.iter
@@ -104,7 +104,7 @@ let test_kvm_replay_vts_identical () =
         o.B.Kvm_trace.rp_equal;
       check_bool (kuc.B.Kvm_campaign.uc_name ^ ": vts stream reproduced") true
         o.B.Kvm_trace.rp_vts_equal)
-    Ii_backends.Kvm_use_cases.use_cases
+    Uc.kvm
 
 let test_records_carry_vts () =
   let r = Trace_driver.record (uc "XSA-148-priv") Campaign.Injection Version.V4_6 in
@@ -130,7 +130,7 @@ let test_reset_restores_clock () =
   check_i64 "xen reset restores post-boot vts" v0 (Substrate_xen.vclock tb);
   let ktb = K.create K.Stock in
   let kv0 = K.vclock ktb in
-  ignore (B.Kvm_campaign.run ~tb:ktb Ii_backends.Kvm_use_cases.idt_uc Campaign.Injection K.Stock);
+  ignore (B.Kvm_campaign.run ~tb:ktb (Option.get (Uc.find_kvm "KVM-IDT")) Campaign.Injection K.Stock);
   K.reset ktb;
   check_i64 "kvm reset restores post-boot vts" kv0 (K.vclock ktb)
 
@@ -146,8 +146,8 @@ let test_pooled_equals_fresh_with_clock () =
   let kf = K.create K.Stock in
   let kp = K.create_pooled K.Stock in
   check_i64 "kvm fork inherits post-boot clock" (K.vclock kf) (K.vclock kp);
-  let ka = B.Kvm_campaign.run ~tb:kf Ii_backends.Kvm_use_cases.vmcs_uc Campaign.Injection K.Stock in
-  let kb = B.Kvm_campaign.run ~tb:kp Ii_backends.Kvm_use_cases.vmcs_uc Campaign.Injection K.Stock in
+  let ka = B.Kvm_campaign.run ~tb:kf (Option.get (Uc.find_kvm "KVM-VMCS")) Campaign.Injection K.Stock in
+  let kb = B.Kvm_campaign.run ~tb:kp (Option.get (Uc.find_kvm "KVM-VMCS")) Campaign.Injection K.Stock in
   check_i64 "kvm pooled trial vtime identical" ka.B.Kvm_campaign.r_vtime_ns
     kb.B.Kvm_campaign.r_vtime_ns
 
@@ -156,10 +156,10 @@ let test_sharded_matrix_vtime_identical () =
      identity also pins virtual time across worker pools *)
   let versions = [ Version.V4_6; Version.V4_8 ] in
   let seq =
-    Campaign.run_matrix All.use_cases ~versions ~modes:[ Campaign.Injection ]
+    Campaign.run_matrix Uc.xen ~versions ~modes:[ Campaign.Injection ]
   in
   let par =
-    Campaign.run_matrix ~workers:2 ~pooled:true All.use_cases ~versions
+    Campaign.run_matrix ~workers:2 ~pooled:true Uc.xen ~versions
       ~modes:[ Campaign.Injection ]
   in
   check_bool "sharded rows (including vtime) identical" true (seq = par)
@@ -215,7 +215,7 @@ let test_rate_based_trial_deterministic () =
 
 let test_latency_ns_reported () =
   let trials =
-    Vmi_driver.coverage All.use_cases Campaign.Injection Version.V4_6
+    Vmi_driver.coverage Uc.xen Campaign.Injection Version.V4_6
   in
   List.iter
     (fun t ->
@@ -269,7 +269,7 @@ let test_detached_clock_does_not_change_results () =
       check_string (uc0.Campaign.uc_name ^ ": event stream unchanged")
         (Trace.strip_vts on.Trace_driver.rec_bytes)
         (Trace.strip_vts off.Trace_driver.rec_bytes))
-    All.use_cases
+    Uc.xen
 
 let test_tracing_off_vtime_identical () =
   (* charges are unconditional, so a trial consumes the same virtual

@@ -12,14 +12,14 @@ open Ii_xen
 open Ii_vmi
 open Ii_guest
 open Ii_core
-module All = Ii_exploits.All_exploits
+module Uc = Ii_exploits.Use_cases
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
 let uc name =
-  match All.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
+  match Uc.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
 
 (* --- metrics registry ----------------------------------------------------- *)
 
@@ -200,7 +200,7 @@ let test_integrity_fires_on_corruption () =
 (* --- detector campaigns --------------------------------------------------- *)
 
 let vmi_trials =
-  lazy (Vmi_driver.coverage All.use_cases Campaign.Injection Version.V4_6)
+  lazy (Vmi_driver.coverage Uc.xen Campaign.Injection Version.V4_6)
 
 let test_every_state_detected () =
   List.iter
@@ -237,7 +237,7 @@ let test_side_effect_free () =
     (fun uc ->
       check_bool (uc.Campaign.uc_name ^ " side-effect-free") true
         (Vmi_driver.side_effect_free uc Campaign.Injection Version.V4_6))
-    All.use_cases
+    Uc.xen
 
 let test_detector_recording_replays () =
   List.iter

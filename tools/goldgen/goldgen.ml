@@ -1,78 +1,12 @@
-(* One-shot generator for the pre-refactor golden fixtures. *)
+(* Writes the corpus goldens to stdout, one line per corpus program x
+   configuration x mode (see golden.ml):
 
-let fingerprint (r : Campaign.result_row) =
-  let t = r.Campaign.r_telemetry in
-  String.concat "\n"
-    ([ Printf.sprintf "use_case=%s" r.Campaign.r_use_case;
-       Printf.sprintf "version=%s" (Version.to_string r.Campaign.r_version);
-       Printf.sprintf "mode=%s" (Campaign.mode_to_string r.Campaign.r_mode);
-       Printf.sprintf "state=%b" r.Campaign.r_state;
-       Printf.sprintf "rc=%s"
-         (match r.Campaign.r_rc with Some rc -> string_of_int rc | None -> "-") ]
-    @ List.map (fun e -> "evidence=" ^ e) r.Campaign.r_state_evidence
-    @ List.map
-        (fun v -> "violation=" ^ Monitor.violation_to_string v)
-        r.Campaign.r_violations
-    @ List.map (fun l -> "transcript=" ^ l) r.Campaign.r_transcript
-    @ [ Printf.sprintf "telemetry=%s|f%d|F%d|d%d|fl%d|i%d|p%d|g%d|e%d|inj%d|vs%d|vf%d|vfr%d"
-          (String.concat ","
-             (List.map (fun (n, c) -> Printf.sprintf "%d:%d" n c) t.Trace.tm_hypercalls))
-          t.Trace.tm_hypercalls_failed t.Trace.tm_faults t.Trace.tm_double_faults
-          t.Trace.tm_flushes t.Trace.tm_invlpgs t.Trace.tm_page_type_changes
-          t.Trace.tm_grant_ops t.Trace.tm_evtchn_ops t.Trace.tm_injector_accesses
-          t.Trace.tm_vmi_scans t.Trace.tm_vmi_findings t.Trace.tm_vmi_frames ])
+     dune exec tools/goldgen/goldgen.exe > test/golden/corpus.golden
 
-let hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
-
-let emit_string name s =
-  (* chunk long hex strings for readability: one OCaml string literal
-     with backslash-newline continuations *)
-  Printf.printf "let %s =\n  unhex\n    \"" name;
-  let h = hex s in
-  let n = String.length h in
-  let i = ref 0 in
-  while !i < n do
-    let len = min 76 (n - !i) in
-    print_string (String.sub h !i len);
-    i := !i + len;
-    if !i < n then print_string "\\\n     "
-  done;
-  print_string "\"\n\n"
+   Regenerate only when a change is meant to alter what the stack
+   produces, and say why in the commit. *)
 
 let () =
-  print_endline "(* Pre-refactor golden fixtures: trace bytes and campaign row";
-  print_endline "   fingerprints captured from the Xen-only stack, before the";
-  print_endline "   substrate refactor. Generated once; do not regenerate from";
-  print_endline "   post-refactor code. *)";
-  print_newline ();
-  print_endline "let unhex h =";
-  print_endline "  let n = String.length h / 2 in";
-  print_endline "  String.init n (fun i -> Char.chr (int_of_string (\"0x\" ^ String.sub h (2 * i) 2)))";
-  print_newline ();
-  let slug uc mode =
-    let m = match mode with Campaign.Real_exploit -> "exploit" | Campaign.Injection -> "injection" in
-    String.map (fun c -> if c = '-' then '_' else Char.lowercase_ascii c) uc.Campaign.uc_name ^ "_" ^ m
-  in
-  let cases =
-    List.concat_map
-      (fun uc -> [ (uc, Campaign.Real_exploit); (uc, Campaign.Injection) ])
-      Ii_exploits.All_exploits.use_cases
-  in
   List.iter
-    (fun (uc, mode) ->
-      let r = Trace_driver.record uc mode Version.V4_6 in
-      emit_string ("trace_" ^ slug uc mode) r.Trace_driver.rec_bytes;
-      emit_string ("row_" ^ slug uc mode) (fingerprint r.Trace_driver.rec_row))
-    cases;
-  Printf.printf "let cases = [\n";
-  List.iter
-    (fun (uc, mode) ->
-      let s = slug uc mode in
-      Printf.printf "  (%S, %S, trace_%s, row_%s);\n" uc.Campaign.uc_name
-        (match mode with Campaign.Real_exploit -> "exploit" | Campaign.Injection -> "injection")
-        s s)
-    cases;
-  Printf.printf "]\n"
+    (fun p -> List.iter print_endline (Golden.program_lines p))
+    Ii_exploits.Use_cases.programs
