@@ -3,9 +3,10 @@
    cases that are loadable data instead of OCaml modules. *)
 
 open Cmdliner
-module XV = Scn_vm.Make (Ii_exploits.Scenario_xen)
-module KV = Scn_vm.Make (Ii_backends.Scenario_kvm)
-module KC = Ii_backends.Backends.Kvm_campaign
+module Registry = Ii_exploits.Registry
+
+let jstr = Cli.jstr
+let jlist = Cli.jlist
 
 let backend_to_string = function
   | Scn_bytecode.Any -> "any"
@@ -25,36 +26,14 @@ let load_all files =
 (* Load-time gate: a program is checked against the action table of
    every backend its header admits. *)
 let check_errors (file, p) =
-  let checks =
-    match Scn_bytecode.backend p with
-    | Scn_bytecode.Xen_only -> [ ("xen", XV.check p) ]
-    | Scn_bytecode.Kvm_only -> [ ("kvm", KV.check p) ]
-    | Scn_bytecode.Any -> [ ("xen", XV.check p); ("kvm", KV.check p) ]
-  in
   List.filter_map
-    (fun (b, r) ->
-      match r with
-      | Ok () -> None
-      | Error msg -> Some (Printf.sprintf "%s [%s]: %s" file b msg))
-    checks
-
-let jstr s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let jlist f xs = "[" ^ String.concat "," (List.map f xs) ^ "]"
+    (fun (module R : Registry.S) ->
+      if not (R.Vm.compatible p) then None
+      else
+        match R.Vm.check p with
+        | Ok () -> None
+        | Error msg -> Some (Printf.sprintf "%s [%s]: %s" file R.B.name msg))
+    Registry.all
 
 (* --- scenario list ------------------------------------------------------- *)
 
@@ -181,100 +160,21 @@ let disasm_cmd =
 
 (* --- scenario run -------------------------------------------------------- *)
 
-let modes_of_string = function
-  | "exploit" -> Some [ Campaign.Real_exploit ]
-  | "injection" -> Some [ Campaign.Injection ]
-  | "both" -> Some [ Campaign.Real_exploit; Campaign.Injection ]
-  | _ -> None
-
-let domains_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"Concurrent guest domains on the testbed (>= 2: victim + attacker).")
-
-let load_arg =
-  Arg.(
-    value & opt string "none"
-    & info [ "load" ] ~docv:"MIX"
-        ~doc:"Deterministic background workload mix every guest runs (none|default|heavy).")
-
-let row_json ~version r =
-  Printf.sprintf
-    "{\"use_case\":%s,\"version\":%s,\"mode\":%s,\"rc\":%s,\"state\":%b,\"violations\":%s,\"transcript\":%s}"
-    (jstr r.Campaign.r_use_case) (jstr version)
-    (jstr (Campaign.mode_to_string r.Campaign.r_mode))
-    (match r.Campaign.r_rc with Some rc -> string_of_int rc | None -> "null")
-    r.Campaign.r_state
-    (jlist (fun v -> jstr (Monitor.violation_to_string v)) r.Campaign.r_violations)
-    (jlist jstr r.Campaign.r_transcript)
-
-let print_xen_row ~verbose (r : Campaign.result_row) =
-  Printf.printf "use case:        %s\n" r.Campaign.r_use_case;
-  Printf.printf "Xen version:     %s\n" (Version.to_string r.Campaign.r_version);
-  Printf.printf "mode:            %s\n" (Campaign.mode_to_string r.Campaign.r_mode);
-  (match r.Campaign.r_rc with
-  | Some rc -> Printf.printf "return code:     %d\n" rc
-  | None -> ());
-  Printf.printf "erroneous state: %s\n"
-    (if r.Campaign.r_state then "PRESENT (audited)" else "absent");
-  (match r.Campaign.r_violations with
-  | [] -> Printf.printf "security:        no violation (the system handled the state)\n"
-  | vs ->
-      Printf.printf "security violations:\n";
-      List.iter (fun v -> Printf.printf "  - %s\n" (Monitor.violation_to_string v)) vs);
-  if verbose then begin
-    Printf.printf "\n--- transcript ---\n";
-    List.iter print_endline r.Campaign.r_transcript
-  end;
-  print_newline ()
-
-let print_kvm_row ~verbose (r : KC.result_row) =
-  Printf.printf "use case:        %s\n" r.KC.r_use_case;
-  Printf.printf "KVM build:       %s\n"
-    (Ii_backends.Backend_kvm.config_to_string r.KC.r_version);
-  Printf.printf "mode:            %s\n" (Campaign.mode_to_string r.KC.r_mode);
-  (match r.KC.r_rc with
-  | Some rc -> Printf.printf "return code:     %d\n" rc
-  | None -> ());
-  Printf.printf "erroneous state: %s\n"
-    (if r.KC.r_state then "PRESENT (audited)" else "absent");
-  (match r.KC.r_violations with
-  | [] -> Printf.printf "security:        no violation (the system handled the state)\n"
-  | vs ->
-      Printf.printf "security violations:\n";
-      List.iter (fun v -> Printf.printf "  - %s\n" (Monitor.violation_to_string v)) vs);
-  if verbose then begin
-    Printf.printf "\n--- transcript ---\n";
-    List.iter print_endline r.KC.r_transcript
-  end;
-  print_newline ()
-
-let kvm_row_json (r : KC.result_row) =
-  Printf.sprintf
-    "{\"use_case\":%s,\"version\":%s,\"mode\":%s,\"rc\":%s,\"state\":%b,\"violations\":%s,\"transcript\":%s}"
-    (jstr r.KC.r_use_case)
-    (jstr (Ii_backends.Backend_kvm.config_to_string r.KC.r_version))
-    (jstr (Campaign.mode_to_string r.KC.r_mode))
-    (match r.KC.r_rc with Some rc -> string_of_int rc | None -> "null")
-    r.KC.r_state
-    (jlist (fun v -> jstr (Monitor.violation_to_string v)) r.KC.r_violations)
-    (jlist jstr r.KC.r_transcript)
-
-(* The concrete backend a run uses: the header's constraint wins; a
-   portable (any) scenario follows --backend. *)
+(* The backend a run uses: the header's constraint wins; a portable
+   (any) scenario follows --backend, the first registered backend by
+   default. *)
 let effective_backend p backend_s =
-  match (Scn_bytecode.backend p, backend_s) with
-  | Scn_bytecode.Xen_only, ("xen" | "") -> Ok `Xen
-  | Scn_bytecode.Kvm_only, ("kvm" | "") -> Ok `Kvm
-  | Scn_bytecode.Any, ("xen" | "") -> Ok `Xen
-  | Scn_bytecode.Any, "kvm" -> Ok `Kvm
-  | tag, b ->
+  let fits (module R : Registry.S) = R.Vm.compatible p in
+  let candidates =
+    if backend_s = "" then Registry.all else Option.to_list (Registry.find backend_s)
+  in
+  match (List.filter fits candidates, Scn_bytecode.backend p) with
+  | r :: _, _ -> Ok r
+  | [], Scn_bytecode.Any -> Error (Cli.unknown "backend" backend_s Registry.names)
+  | [], tag ->
       Error
         (Printf.sprintf "scenario %s is %s-only; it cannot run on backend %S"
-           (Scn_bytecode.name p)
-           (backend_to_string tag)
-           b)
+           (Scn_bytecode.name p) (backend_to_string tag) backend_s)
 
 let run_cmd =
   let doc = "Execute a compiled scenario in the bytecode VM against a backend." in
@@ -282,67 +182,32 @@ let run_cmd =
     Arg.(value & opt string "" & info [ "b"; "backend" ] ~docv:"BACKEND"
            ~doc:"Backend for portable scenarios (xen|kvm); defaults to the header's constraint.")
   in
-  let mode_arg =
-    Arg.(value & opt string "both" & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"exploit|injection|both.")
-  in
-  let version_arg =
-    let parse s =
-      match Version.of_string s with
-      | Some v -> Ok v
-      | None -> Error (`Msg (Printf.sprintf "unknown Xen version %S (use 4.6, 4.8 or 4.13)" s))
-    in
-    let vconv = Arg.conv (parse, fun ppf v -> Version.pp ppf v) in
-    Arg.(value & opt vconv Version.V4_6 & info [ "x"; "xen-version" ] ~docv:"VER"
-           ~doc:"Target Xen version (4.6, 4.8, 4.13).")
+  let modes =
+    Cli.parsed
+      (Cli.choice "mode"
+         [
+           ("exploit", [ Campaign.Real_exploit ]);
+           ("injection", [ Campaign.Injection ]);
+           ("both", [ Campaign.Real_exploit; Campaign.Injection ]);
+         ])
+      Arg.(value & opt string "both" & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"exploit|injection|both.")
   in
   let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Emit result rows as JSON.") in
-  let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print transcripts.") in
-  let run file backend_s mode_s version domains load_s json verbose =
-    match Load_mix.of_string load_s with
-    | None -> `Error (false, Printf.sprintf "unknown load mix %S (none|default|heavy)" load_s)
-    | Some load -> (
-        match Scn_loader.load_file file with
+  let run file backend_s modes version domains load json verbose =
+    match Scn_loader.load_file file with
+    | Error e -> `Error (false, e)
+    | Ok p -> (
+        match effective_backend p backend_s with
         | Error e -> `Error (false, e)
-        | Ok p -> (
-            match modes_of_string mode_s with
-            | None ->
-                `Error (false, Printf.sprintf "unknown mode %S (exploit|injection|both)" mode_s)
-            | Some modes -> (
-                match effective_backend p backend_s with
-                | Error e -> `Error (false, e)
-                | Ok `Xen -> (
-                    match XV.check p with
-                    | Error e -> `Error (false, e)
-                    | Ok () ->
-                        let uc = XV.use_case p in
-                        let rows =
-                          List.map (fun m -> Campaign.run ~domains ~load uc m version) modes
-                        in
-                        if json then
-                          print_endline
-                            (jlist (row_json ~version:(Version.to_string version)) rows)
-                        else List.iter (print_xen_row ~verbose) rows;
-                        `Ok ())
-                | Ok `Kvm -> (
-                    match KV.check p with
-                    | Error e -> `Error (false, e)
-                    | Ok () ->
-                        let uc = KV.use_case p in
-                        let rows =
-                          List.map
-                            (fun m ->
-                              KC.run ~domains ~load uc m Ii_backends.Backend_kvm.rq1_config)
-                            modes
-                        in
-                        if json then print_endline (jlist kvm_row_json rows)
-                        else List.iter (print_kvm_row ~verbose) rows;
-                        `Ok ()))))
+        | Ok (module R) ->
+            let module D = Backend_cmd.Make (R) in
+            D.scenario_run p modes ~version ~domains ~load ~json ~verbose)
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       ret
-        (const run $ file_arg $ backend_arg $ mode_arg $ version_arg $ domains_arg $ load_arg
-        $ json_arg $ verbose_arg))
+        (const run $ file_arg $ backend_arg $ modes $ Cli.version $ Cli.domains $ Cli.load
+        $ json_arg $ Cli.verbose))
 
 (* --- scenario crossdomain ------------------------------------------------ *)
 
@@ -360,10 +225,10 @@ let crossdomain_program ~domains ~load (file, p) =
   let fail fmt =
     Printf.ksprintf (fun m -> errs := Printf.sprintf "%s: %s" file m :: !errs) fmt
   in
-  (match XV.check p with
+  (match Registry.Xen.Vm.check p with
   | Error e -> fail "%s" e
   | Ok () -> (
-      let uc = XV.use_case p in
+      let uc = Registry.Xen.Vm.use_case p in
       let version = Substrate_xen.rq1_config in
       (* (a) blast radius: expected classes, landing in a guest domain *)
       let row = Campaign.run ~domains ~load uc Campaign.Injection version in
@@ -407,25 +272,21 @@ let crossdomain_cmd =
      fail unless the blast radius, replay determinism and per-violation attribution all \
      hold (the CI cross-domain step)."
   in
-  let run files domains load_s =
-    match Load_mix.of_string load_s with
-    | None -> `Error (false, Printf.sprintf "unknown load mix %S (none|default|heavy)" load_s)
-    | Some load -> (
-        if domains < 2 then `Error (false, "need at least 2 guest domains")
-        else
-          match load_all files with
-          | Error e -> `Error (false, e)
-          | Ok progs -> (
-              match List.concat_map (crossdomain_program ~domains ~load) progs with
-              | [] -> `Ok ()
-              | errs ->
-                  List.iter prerr_endline errs;
-                  `Error
-                    (false, Printf.sprintf "%d cross-domain gate failure(s)" (List.length errs))))
+  let run files domains load =
+    if domains < 2 then `Error (false, "need at least 2 guest domains")
+    else
+      match load_all files with
+      | Error e -> `Error (false, e)
+      | Ok progs -> (
+          match List.concat_map (crossdomain_program ~domains ~load) progs with
+          | [] -> `Ok ()
+          | errs ->
+              List.iter prerr_endline errs;
+              `Error (false, Printf.sprintf "%d cross-domain gate failure(s)" (List.length errs)))
   in
   Cmd.v
     (Cmd.info "crossdomain" ~doc)
-    Term.(ret (const run $ files_arg $ domains_arg $ load_arg))
+    Term.(ret (const run $ files_arg $ Cli.domains $ Cli.load))
 
 let cmd =
   let doc = "Work with compiled intrusion scenarios (.scn corpus)." in

@@ -328,7 +328,7 @@ let test_scheduler_coverage_invariant () =
 
 let test_replay_reproduces_map_xen () =
   let uc =
-    match Ii_exploits.Use_cases.find "XSA-212-priv" with
+    match Ii_exploits.Registry.Xen.find "XSA-212-priv" with
     | Some uc -> uc
     | None -> Alcotest.fail "no XSA-212-priv"
   in

@@ -12,6 +12,7 @@ open Ii_scenario
 open Ii_vmi
 open Ii_trace
 module Uc = Ii_exploits.Use_cases
+module Registry = Ii_exploits.Registry
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -638,7 +639,7 @@ let test_pooled_equals_fresh_kvm () =
    fork inherits) must not change the row, and the row must still equal
    the fresh-boot one. *)
 let test_pooled_interleaved_scans () =
-  let uc = Option.get (Uc.find "XSA-148-priv") in
+  let uc = Option.get (Registry.Xen.find "XSA-148-priv") in
   let row_with tb =
     let cache = Monitor.create_scan_cache () in
     Campaign.run ~tb
@@ -652,7 +653,7 @@ let test_pooled_interleaved_scans () =
 (* The provenance shadow attaches to a fork exactly as to a fresh boot:
    same causal graph, same taint. *)
 let test_pooled_provenance () =
-  let uc = Option.get (Uc.find "XSA-182-test") in
+  let uc = Option.get (Registry.Xen.find "XSA-182-test") in
   let stats tb =
     Substrate_xen.enable_provenance tb;
     ignore (Campaign.run ~tb uc Campaign.Injection Version.V4_6);
@@ -1073,7 +1074,13 @@ let test_run_matrix_shard_identical () =
     Campaign.run_matrix ~workers:2 Uc.xen ~versions:[ Version.V4_6 ]
       ~modes:[ Campaign.Injection ]
   in
-  check_bool "sequential = 2-worker matrix" true (seq = sharded)
+  check_bool "sequential = 2-worker matrix" true (seq = sharded);
+  let module BK = Ii_backends.Backend_kvm in
+  let module KC = Ii_backends.Backends.Kvm_campaign in
+  let modes = [ Campaign.Real_exploit; Campaign.Injection ] in
+  let kseq = KC.run_matrix Uc.kvm ~versions:BK.configs ~modes in
+  let ksharded = KC.run_matrix ~workers:2 Uc.kvm ~versions:BK.configs ~modes in
+  check_bool "kvm: sequential = 2-worker matrix" true (kseq = ksharded)
 
 (* --- Phys_mem allocator --------------------------------------------------- *)
 

@@ -9,6 +9,7 @@ open Ii_trace
 open Ii_xen
 open Ii_core
 module Uc = Ii_exploits.Use_cases
+module Registry = Ii_exploits.Registry
 module B = Ii_backends.Backends
 module K = Ii_backends.Backend_kvm
 
@@ -17,7 +18,7 @@ let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
 let uc name =
-  match Uc.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
+  match Registry.Xen.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
 
 let starts_with ~prefix s =
   String.length s >= String.length prefix

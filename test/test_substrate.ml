@@ -13,14 +13,15 @@ open Ii_trace
 open Ii_xen
 open Ii_core
 module Uc = Ii_exploits.Use_cases
+module Registry = Ii_exploits.Registry
 module BK = Ii_backends.Backend_kvm
 module KC = Ii_backends.Backends.Kvm_campaign
 module KT = Ii_backends.Backends.Kvm_trace
 module KV = Ii_backends.Backends.Kvm_vmi
 module KU = struct
   let use_cases = Uc.kvm
-  let vmcs_uc = Option.get (Uc.find_kvm "KVM-VMCS")
-  let idt_uc = Option.get (Uc.find_kvm "KVM-IDT")
+  let vmcs_uc = Option.get (Registry.Kvm.find "KVM-VMCS")
+  let idt_uc = Option.get (Registry.Kvm.find "KVM-IDT")
 end
 
 let check_int = Alcotest.(check int)
@@ -28,7 +29,7 @@ let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
 let uc name =
-  match Uc.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
+  match Registry.Xen.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
 
 let mode_of_string = function
   | "exploit" -> Campaign.Real_exploit
@@ -209,7 +210,7 @@ let test_kvm_detectors_cover () =
 let test_domain_indexed_view () =
   let xen_tb = Ii_guest.Testbed.create ~domains:4 ~load:Load_mix.default Version.V4_6 in
   check_int "xen: four guest domains" 4 (List.length (Substrate_xen.domains xen_tb));
-  let uc = Option.get (Uc.find "XSA-212-priv") in
+  let uc = Option.get (Registry.Xen.find "XSA-212-priv") in
   let before = Substrate_xen.snapshot xen_tb in
   ignore (Campaign.run ~tb:xen_tb uc Campaign.Injection Version.V4_6);
   Ii_guest.Testbed.tick_all xen_tb;
@@ -245,9 +246,9 @@ let test_domain_indexed_view () =
     (List.length (List.concat_map snd kgrouped))
 
 let test_backend_registry () =
-  check_bool "xen known" true (Ii_backends.Backends.is_known "xen");
-  check_bool "kvm known" true (Ii_backends.Backends.is_known "kvm");
-  check_bool "vbox unknown" false (Ii_backends.Backends.is_known "vbox");
+  check_bool "xen known" true (Registry.find "xen" <> None);
+  check_bool "kvm known" true (Registry.find "kvm" <> None);
+  check_bool "vbox unknown" false (Registry.find "vbox" <> None);
   let r = KC.run KU.idt_uc Campaign.Injection BK.Stock in
   check_string "r_backend kvm" "kvm" r.KC.r_backend
 

@@ -13,13 +13,14 @@ open Ii_vmi
 open Ii_guest
 open Ii_core
 module Uc = Ii_exploits.Use_cases
+module Registry = Ii_exploits.Registry
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
 let uc name =
-  match Uc.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
+  match Registry.Xen.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
 
 (* --- metrics registry ----------------------------------------------------- *)
 
