@@ -57,7 +57,7 @@ let fig1 () =
 let fig2 () =
   hr "FIG 2 (methodology key components, end to end)";
   let tb = Testbed.create Version.V4_8 in
-  let uc = Option.get (Registry.Xen.find "XSA-182-test") in
+  let uc = Result.get_ok (Registry.Xen.find "XSA-182-test") in
   let trace = Pipeline.run tb ~im:uc.Campaign.im ~inject:uc.Campaign.run_injection in
   Format.printf "%a@." Pipeline.pp trace
 
@@ -150,7 +150,7 @@ let extensions () =
 
 open Bechamel
 
-let uc name = Option.get (Registry.Xen.find name)
+let uc name = Result.get_ok (Registry.Xen.find name)
 
 let bench_tests =
   [
@@ -494,7 +494,7 @@ let perf_report ?(full = false) ~trials () =
      always-on counters; the ring-on vs ring-off trial timing is the
      overhead contract (off must stay within noise of the pre-trace
      numbers, on is allowed to cost). *)
-  let uc148 = Option.get (Registry.Xen.find "XSA-148-priv") in
+  let uc148 = Result.get_ok (Registry.Xen.find "XSA-148-priv") in
   let tb_tr = Testbed.create Version.V4_6 in
   let row, trace_off_trial_s =
     seconds_best ~reps:5 (fun () ->
@@ -572,12 +572,12 @@ let perf_report ?(full = false) ~trials () =
   let kvm_tb = Ii_backends.Backend_kvm.create Ii_backends.Backend_kvm.Stock in
   let kvm_row, backend_kvm_trial_s =
     seconds_best ~reps:5 (fun () ->
-        Ii_backends.Backends.Kvm_campaign.run ~tb:kvm_tb (Option.get (Registry.Kvm.find "KVM-VMCS"))
+        Ii_backends.Backends.Kvm_campaign.run ~tb:kvm_tb (Result.get_ok (Registry.Kvm.find "KVM-VMCS"))
           Campaign.Injection Ii_backends.Backend_kvm.Stock)
   in
   let kvm_replay_equal =
     let r =
-      Ii_backends.Backends.Kvm_trace.record (Option.get (Registry.Kvm.find "KVM-IDT"))
+      Ii_backends.Backends.Kvm_trace.record (Result.get_ok (Registry.Kvm.find "KVM-IDT"))
         Campaign.Injection Ii_backends.Backend_kvm.Stock
     in
     (Ii_backends.Backends.Kvm_trace.replay r).Ii_backends.Backends.Kvm_trace.rp_equal

@@ -18,14 +18,9 @@ module Make (R : Ii_exploits.Registry.S) = struct
   let config_of_version v =
     Option.value (B.config_of_string (Version.to_string v)) ~default:B.rq1_config
 
-  let find_use_case name =
-    Option.to_result
-      ~none:(Cli.unknown "use case" name (List.map (fun uc -> uc.C.uc_name) R.use_cases))
-      (R.find name)
-
   let print_row ~verbose (r : C.result_row) =
     Printf.printf "use case:        %s\n" r.C.r_use_case;
-    Printf.printf "%-17s%s\n" (R.config_field ^ ":") (B.config_to_string r.C.r_version);
+    Printf.printf "%-17s%s\n" (B.config_field ^ ":") (B.config_to_string r.C.r_version);
     Printf.printf "mode:            %s\n" (Campaign.mode_to_string r.C.r_mode);
     Option.iter (Printf.printf "return code:     %d\n") r.C.r_rc;
     Printf.printf "erroneous state: %s\n"
@@ -77,7 +72,7 @@ module Make (R : Ii_exploits.Registry.S) = struct
     end
 
   let trace ~use_case ~mode ~seed ~version ~json ~replay ~model =
-    match find_use_case use_case with
+    match R.find use_case with
     | Error e -> `Error (false, e)
     | Ok uc ->
         let prepare = Option.map (fun m tb -> B.set_cost_model tb m) model in

@@ -48,14 +48,13 @@ let verbose =
   let doc = "Print transcripts and console output." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
-let workers_arg =
+let workers =
   let doc =
     "Worker domains for sharded runs: a positive integer, or $(b,auto) to size to the \
      machine (never oversubscribes)."
   in
-  Arg.(value & opt string "1" & info [ "w"; "workers" ] ~docv:"N|auto" ~doc)
-
-let workers = parsed Shard.workers_of_string workers_arg
+  parsed Shard.workers_of_string
+    Arg.(value & opt string "1" & info [ "w"; "workers" ] ~docv:"N|auto" ~doc)
 
 let domains =
   let doc = "Concurrent guest domains on each testbed (>= 2: victim + attacker)." in

@@ -8,13 +8,14 @@ module Xen = Backend_cmd.Make (Registry.Xen)
 
 let use_case_arg =
   let doc =
-    Printf.sprintf "Use case to run — a name (%s) or an XSA id like XSA-148."
+    Printf.sprintf
+      "Use case to run — a name (%s) or an XSA id only one of them carries, like XSA-148."
       (String.concat ", " Ii_exploits.Use_cases.names)
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"USE-CASE" ~doc)
 
 let with_use_case name k =
-  match Xen.find_use_case name with Error e -> `Error (false, e) | Ok uc -> k uc
+  match Registry.Xen.find name with Error e -> `Error (false, e) | Ok uc -> k uc
 
 let run_one mode name version verbose =
   with_use_case name (fun uc ->
@@ -135,12 +136,7 @@ let fuzz_cmd =
   let flips_arg =
     Arg.(value & flag & info [ "soft-errors" ] ~doc:"Include accidental single-bit flips.")
   in
-  let run seed trials flips verbose workers_spec =
-   match Shard.workers_of_string workers_spec with
-   | Error e ->
-       prerr_endline e;
-       exit 2
-   | Ok workers ->
+  let run seed trials flips verbose workers =
     let targets =
       if flips then Random_campaign.all_targets else Random_campaign.intrusion_targets
     in
@@ -168,7 +164,7 @@ let fuzz_cmd =
         summaries
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
-    Term.(const run $ seed_arg $ trials_arg $ flips_arg $ Cli.verbose $ Cli.workers_arg)
+    Term.(const run $ seed_arg $ trials_arg $ flips_arg $ Cli.verbose $ Cli.workers)
 
 let bench_cmd =
   let doc =

@@ -17,6 +17,7 @@ let config_to_string Stock = "stock"
 let config_of_string = function "stock" -> Some Stock | _ -> None
 let config_label Stock = "KVM stock"
 let config_heading = "KVM"
+let config_field = "KVM build"
 let port_heading = "Ioctls"
 
 type t = {

@@ -45,6 +45,9 @@ module type S = sig
   val config_heading : string
   (** Column title for the configuration in telemetry tables. *)
 
+  val config_field : string
+  (** Label of the configuration line in a result row ("Xen version"). *)
+
   val port_heading : string
   (** Column title for the injection-port call counters in telemetry
       tables — what the backend's port actually is ("Hypercalls" on

@@ -16,6 +16,7 @@ let config_to_string = Version.to_string
 let config_of_string = Version.of_string
 let config_label v = "Xen " ^ Version.to_string v
 let config_heading = "Xen"
+let config_field = "Xen version"
 let port_heading = "Hypercalls"
 
 type t = Testbed.t

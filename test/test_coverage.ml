@@ -329,8 +329,8 @@ let test_scheduler_coverage_invariant () =
 let test_replay_reproduces_map_xen () =
   let uc =
     match Ii_exploits.Registry.Xen.find "XSA-212-priv" with
-    | Some uc -> uc
-    | None -> Alcotest.fail "no XSA-212-priv"
+    | Ok uc -> uc
+    | Error e -> Alcotest.fail e
   in
   List.iter
     (fun mode ->

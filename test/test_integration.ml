@@ -374,7 +374,7 @@ let test_hang_state_without_watchdog_is_availability_only () =
 
 let test_crash_console_dump () =
   let row =
-    Campaign.run (Option.get (Ii_exploits.Registry.Xen.find "XSA-212-crash")) Campaign.Injection
+    Campaign.run (Result.get_ok (Ii_exploits.Registry.Xen.find "XSA-212-crash")) Campaign.Injection
       Version.V4_6
   in
   check_bool "row crashed" true

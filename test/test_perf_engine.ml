@@ -639,7 +639,7 @@ let test_pooled_equals_fresh_kvm () =
    fork inherits) must not change the row, and the row must still equal
    the fresh-boot one. *)
 let test_pooled_interleaved_scans () =
-  let uc = Option.get (Registry.Xen.find "XSA-148-priv") in
+  let uc = Result.get_ok (Registry.Xen.find "XSA-148-priv") in
   let row_with tb =
     let cache = Monitor.create_scan_cache () in
     Campaign.run ~tb
@@ -653,7 +653,7 @@ let test_pooled_interleaved_scans () =
 (* The provenance shadow attaches to a fork exactly as to a fresh boot:
    same causal graph, same taint. *)
 let test_pooled_provenance () =
-  let uc = Option.get (Registry.Xen.find "XSA-182-test") in
+  let uc = Result.get_ok (Registry.Xen.find "XSA-182-test") in
   let stats tb =
     Substrate_xen.enable_provenance tb;
     ignore (Campaign.run ~tb uc Campaign.Injection Version.V4_6);

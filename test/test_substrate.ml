@@ -20,8 +20,8 @@ module KT = Ii_backends.Backends.Kvm_trace
 module KV = Ii_backends.Backends.Kvm_vmi
 module KU = struct
   let use_cases = Uc.kvm
-  let vmcs_uc = Option.get (Registry.Kvm.find "KVM-VMCS")
-  let idt_uc = Option.get (Registry.Kvm.find "KVM-IDT")
+  let vmcs_uc = Result.get_ok (Registry.Kvm.find "KVM-VMCS")
+  let idt_uc = Result.get_ok (Registry.Kvm.find "KVM-IDT")
 end
 
 let check_int = Alcotest.(check int)
@@ -29,7 +29,7 @@ let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
 let uc name =
-  match Registry.Xen.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
+  match Registry.Xen.find name with Ok uc -> uc | Error e -> Alcotest.fail e
 
 let mode_of_string = function
   | "exploit" -> Campaign.Real_exploit
@@ -210,7 +210,7 @@ let test_kvm_detectors_cover () =
 let test_domain_indexed_view () =
   let xen_tb = Ii_guest.Testbed.create ~domains:4 ~load:Load_mix.default Version.V4_6 in
   check_int "xen: four guest domains" 4 (List.length (Substrate_xen.domains xen_tb));
-  let uc = Option.get (Registry.Xen.find "XSA-212-priv") in
+  let uc = Result.get_ok (Registry.Xen.find "XSA-212-priv") in
   let before = Substrate_xen.snapshot xen_tb in
   ignore (Campaign.run ~tb:xen_tb uc Campaign.Injection Version.V4_6);
   Ii_guest.Testbed.tick_all xen_tb;

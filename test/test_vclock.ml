@@ -20,7 +20,7 @@ let check_string = Alcotest.(check string)
 let check_i64 = Alcotest.(check int64)
 
 let uc name =
-  match Registry.Xen.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
+  match Registry.Xen.find name with Ok uc -> uc | Error e -> Alcotest.fail e
 
 (* --- the cost model ------------------------------------------------------ *)
 
@@ -131,7 +131,7 @@ let test_reset_restores_clock () =
   check_i64 "xen reset restores post-boot vts" v0 (Substrate_xen.vclock tb);
   let ktb = K.create K.Stock in
   let kv0 = K.vclock ktb in
-  ignore (B.Kvm_campaign.run ~tb:ktb (Option.get (Registry.Kvm.find "KVM-IDT")) Campaign.Injection K.Stock);
+  ignore (B.Kvm_campaign.run ~tb:ktb (Result.get_ok (Registry.Kvm.find "KVM-IDT")) Campaign.Injection K.Stock);
   K.reset ktb;
   check_i64 "kvm reset restores post-boot vts" kv0 (K.vclock ktb)
 
@@ -147,8 +147,8 @@ let test_pooled_equals_fresh_with_clock () =
   let kf = K.create K.Stock in
   let kp = K.create_pooled K.Stock in
   check_i64 "kvm fork inherits post-boot clock" (K.vclock kf) (K.vclock kp);
-  let ka = B.Kvm_campaign.run ~tb:kf (Option.get (Registry.Kvm.find "KVM-VMCS")) Campaign.Injection K.Stock in
-  let kb = B.Kvm_campaign.run ~tb:kp (Option.get (Registry.Kvm.find "KVM-VMCS")) Campaign.Injection K.Stock in
+  let ka = B.Kvm_campaign.run ~tb:kf (Result.get_ok (Registry.Kvm.find "KVM-VMCS")) Campaign.Injection K.Stock in
+  let kb = B.Kvm_campaign.run ~tb:kp (Result.get_ok (Registry.Kvm.find "KVM-VMCS")) Campaign.Injection K.Stock in
   check_i64 "kvm pooled trial vtime identical" ka.B.Kvm_campaign.r_vtime_ns
     kb.B.Kvm_campaign.r_vtime_ns
 

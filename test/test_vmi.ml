@@ -20,7 +20,7 @@ let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
 let uc name =
-  match Registry.Xen.find name with Some uc -> uc | None -> Alcotest.fail ("no use case " ^ name)
+  match Registry.Xen.find name with Ok uc -> uc | Error e -> Alcotest.fail e
 
 (* --- metrics registry ----------------------------------------------------- *)
 
